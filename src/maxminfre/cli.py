@@ -3,20 +3,23 @@
 Subcommands: solve, reduce, region, vc, oracle, gen, check.  Instance files
 are JSON documents {"A", "b", "c", "sense"} with decimal-string or numeric
 entries; graphs are edge lists ('p <n> <m>' / 'e <u> <v>') or JSON adjacency.
-Exit codes: 0 solved/feasible, 1 infeasible/not-a-member, 2 input error.
-All numeric output is exact decimal; objectives also carry a two-decimal
-display form.  Set MAXMINFRE_PARALLEL to evaluate candidates in worker
-processes.
+Exit codes: 0 solved/feasible, 1 infeasible/not-a-member, 2 input error,
+3 internal error (with a traceback).  A reader that closes the output pipe
+early ends the run quietly with 141, as SIGPIPE would.  All numeric output is
+exact decimal; objectives also carry a two-decimal display form.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import traceback
+from fractions import Fraction
 
-from .exact import decimal_str, display_round, parse_scalar, vector_str
+from .exact import decimal_str, display_round, vector_str
 from .extremals import Cell, aggregate_bounds, classify_rows, extremal_solutions
 from .generate import (
     KINDS,
@@ -42,7 +45,7 @@ from .vertexcover import (
     verify_structure,
 )
 
-OK, INFEASIBLE, INPUT_ERROR = 0, 1, 2
+OK, INFEASIBLE, INPUT_ERROR, INTERNAL_ERROR, BROKEN_PIPE = 0, 1, 2, 3, 141
 
 
 def _cell_doc(cell: Cell) -> dict:
@@ -246,7 +249,9 @@ def cmd_oracle(args) -> int:
         _emit({"size": oracle.size, "cover": list(oracle.cover)}, args.json)
         return OK
     inst = load_instance(text)
-    if args.sample:
+    if args.sample is not None:
+        if args.sample < 1:
+            raise InstanceError(f"--sample must be at least 1, got {args.sample}")
         cells = feasible_region(inst)
         report = sample_feasibility(inst, cells, args.sample, args.seed)
         doc = {
@@ -272,13 +277,16 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "random-graph":
-        edges = random_graph_edges(args.n, args.density, args.seed)
-        payload = graph_to_doc(make_graph(args.n, edges))
-    else:
-        maker = random_fre_doc if args.kind == "random-fre" else random_binary_fre_doc
-        doc = maker(args.n, args.density, args.seed, sense=args.sense)
-        payload = json.dumps(doc, indent=2) + "\n"
+    try:
+        if args.kind == "random-graph":
+            edges = random_graph_edges(args.n, args.density, args.seed)
+            payload = graph_to_doc(make_graph(args.n, edges))
+        else:
+            maker = random_fre_doc if args.kind == "random-fre" else random_binary_fre_doc
+            doc = maker(args.n, args.density, args.seed, sense=args.sense)
+            payload = json.dumps(doc, indent=2) + "\n"
+    except ValueError as exc:  # generator parameters out of range
+        raise InstanceError(str(exc)) from exc
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -291,11 +299,13 @@ def cmd_check(args) -> int:
     inst = load_instance(args.instance)
     raw = args.x.strip()
     if raw.startswith("["):
-        values = json.loads(raw)
+        try:
+            values = json.loads(raw, parse_float=Fraction)
+        except json.JSONDecodeError as exc:
+            raise InstanceError(f"--x is not a JSON list: {exc}") from exc
     else:
         values = [v for v in raw.split(",") if v.strip()]
-    x = tuple(parse_scalar(v) for v in values)
-    report = check_membership(inst, x)
+    report = check_membership(inst, values)
     doc = {
         "feasible": report.feasible,
         "rows": [
@@ -382,10 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InstanceError, GraphError, BudgetExceeded, ValueError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+    except (InstanceError, GraphError, BudgetExceeded, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

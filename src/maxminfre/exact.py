@@ -22,21 +22,18 @@ def parse_scalar(value) -> Fraction:
 
     Strings and ints are exact.  Floats are read through their shortest
     decimal repr, which recovers the decimal literal they were written as.
+    Values without a finite decimal form, such as "1/3", are rejected.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
         raise ValueError(f"not a numeric scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError as exc:
-            raise ValueError(f"not a decimal scalar: {value!r}") from exc
-    raise ValueError(f"not a numeric scalar: {value!r}")
+    try:
+        parsed = Fraction(repr(value) if isinstance(value, float) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a decimal scalar: {value!r}") from exc
+    d = parsed.denominator
+    if pow(10, d.bit_length(), d):  # d | 10^bit_length(d) iff d = 2^a * 5^b
+        raise ValueError(f"{value!r} has no finite decimal form")
+    return parsed
 
 
 def _pow10_exponent(denominator: int) -> int:
@@ -80,10 +77,6 @@ def display_round(value: Fraction, places: int = 2) -> str:
     if places == 0:
         return sign + digits
     return sign + digits[:-places] + "." + digits[-places:]
-
-
-def as_vector(values) -> Vec:
-    return tuple(parse_scalar(v) for v in values)
 
 
 def vector_str(vec: Vec) -> list[str]:

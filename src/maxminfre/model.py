@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Vec, as_vector, decimal_str, parse_scalar
+from .exact import ZERO, Vec, decimal_str, parse_scalar
 
 
 class InstanceError(ValueError):
@@ -74,10 +74,16 @@ def squarify(A: list[list[Fraction]], b: list[Fraction]):
     return A, b
 
 
-def _check_unit(value: Fraction, what: str) -> Fraction:
-    if not (ZERO <= value <= ONE):
-        raise InstanceError(f"{what} = {decimal_str(value)} outside [0, 1]")
-    return value
+def _scalar(value, what: str, unit: bool = True) -> Fraction:
+    """One input scalar: a finite decimal, within [0, 1] when ``unit``."""
+    try:
+        parsed = parse_scalar(value)
+    except ValueError as exc:
+        raise InstanceError(f"{what}: {exc}") from exc
+    # 0 <= p/q <= 1 on the ints, which is much cheaper than Fraction compares
+    if unit and not 0 <= parsed.numerator <= parsed.denominator:
+        raise InstanceError(f"{what} = {decimal_str(parsed)} outside [0, 1]")
+    return parsed
 
 
 def instance_from_doc(doc: dict) -> Instance:
@@ -91,17 +97,21 @@ def instance_from_doc(doc: dict) -> Instance:
     for key in ("A", "b", "c"):
         if key not in doc:
             raise InstanceError(f"missing field {key!r}")
+        if not isinstance(doc[key], (list, tuple)):
+            raise InstanceError(f"{key} must be an array")
+    if not all(isinstance(row, (list, tuple)) for row in doc["A"]):
+        raise InstanceError("A must be an array of rows")
     sense = str(doc.get("sense", "min")).lower()
     sense = {"min": "min", "minimize": "min", "max": "max", "maximize": "max"}.get(sense)
     if sense is None:
         raise InstanceError(f"sense must be min or max, got {doc.get('sense')!r}")
 
-    try:
-        A = [[parse_scalar(v) for v in row] for row in doc["A"]]
-        b = [parse_scalar(v) for v in doc["b"]]
-        c = [parse_scalar(v) for v in doc["c"]]
-    except (ValueError, TypeError) as exc:
-        raise InstanceError(str(exc)) from exc
+    A = [
+        [_scalar(v, f"A[{i}][{j}]") for j, v in enumerate(row, start=1)]
+        for i, row in enumerate(doc["A"], start=1)
+    ]
+    b = [_scalar(v, f"b[{i}]") for i, v in enumerate(doc["b"], start=1)]
+    c = [_scalar(v, f"c[{j}]", unit=False) for j, v in enumerate(doc["c"], start=1)]
 
     m = len(A)
     if m == 0:
@@ -113,11 +123,6 @@ def instance_from_doc(doc: dict) -> Instance:
         raise InstanceError(f"b has {len(b)} entries for {m} rows")
     if len(c) != width:
         raise InstanceError(f"c has {len(c)} entries for {width} columns")
-    for i, row in enumerate(A, start=1):
-        for j, v in enumerate(row, start=1):
-            _check_unit(v, f"A[{i}][{j}]")
-    for i, v in enumerate(b, start=1):
-        _check_unit(v, f"b[{i}]")
 
     A, b = squarify(A, b)
     order = len(A)
@@ -160,11 +165,9 @@ def instance_to_doc(inst: Instance) -> dict:
 
 
 def _validated_x(inst: Instance, x) -> Vec:
-    vec = as_vector(x)
+    vec = tuple(_scalar(v, f"x[{j}]") for j, v in enumerate(x, start=1))
     if len(vec) != inst.n:
         raise InstanceError(f"x has {len(vec)} entries for order {inst.n}")
-    for j, v in enumerate(vec, start=1):
-        _check_unit(v, f"x[{j}]")
     return vec
 
 

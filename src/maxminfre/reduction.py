@@ -4,8 +4,8 @@ Before enumeration, each diag_eq and diag_lt row owns a small selector
 domain: which maximal variant participates (values 1/2) and, for diag_lt
 rows, which anchor column carries the minimal solution.  The rules below
 remove selector values that can only produce empty boxes; they never remove
-an admissible selection.  Rather than overwriting mask entries with
-sentinels, removed rows/entries carry a disabled flag.
+an admissible selection.  Removed values leave the row's domain; the mask
+tables themselves never change.
 
 Rule summary (targets in parentheses):
 
@@ -66,7 +66,7 @@ class TraceEvent:
 
 @dataclass
 class MaskMatrices:
-    """Maximal/minimal solution tables with disabled flags.
+    """Maximal/minimal solution tables.
 
     ``eq_rows``/``lt_rows`` fix the k -> row-index mapping (ascending).  The
     anchored-minimal table stores one value per (row, column) with the column
@@ -81,9 +81,6 @@ class MaskMatrices:
     lt_max1: tuple[Vec, ...]
     lt_max2: tuple[Vec, ...]
     lt_min: tuple[dict[int, Fraction], ...]  # per lt row: column -> value
-    eq_disabled: dict[tuple[int, int], bool] = field(default_factory=dict)
-    lt_disabled: dict[tuple[int, int], bool] = field(default_factory=dict)
-    lt_min_disabled: dict[tuple[int, int], bool] = field(default_factory=dict)
 
 
 def build_masks(ext: ExtremalSet, cls: RowClassification, b: Vec) -> MaskMatrices:
@@ -127,14 +124,11 @@ class ReductionState:
 
     def _remove_variant(self, rule: int, family: str, row: int, variant: int, witness) -> None:
         dom = self.eq_dom if family == "eq" else self.lt_dom
-        disabled = self.masks.eq_disabled if family == "eq" else self.masks.lt_disabled
         dom[row] = tuple(v for v in dom[row] if v != variant)
-        disabled[row, variant] = True
         self.trace.append(TraceEvent(rule, row, variant, witness))
 
     def _remove_anchor(self, rule: int, row: int, column: int, witness) -> None:
         self.anchor_dom[row] = tuple(j for j in self.anchor_dom[row] if j != column)
-        self.masks.lt_min_disabled[row, column] = True
         self.trace.append(TraceEvent(rule, row, column, witness))
 
 

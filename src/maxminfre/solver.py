@@ -1,26 +1,32 @@
 """End-to-end solve pipeline.
 
 classify -> extremals -> bounds -> feasibility gates -> masks -> rules ->
-streaming enumeration of selector triples -> per-triple candidate -> best
-objective.  A selector triple (anchor assignment, diag_eq variants, diag_lt
-variants) is admissible when its box is nonempty; by construction the
-feasible region is exactly the union of those boxes, and some admissible
-triple's candidate attains the optimum.
+selector levels -> distinct boxes -> per-box candidate -> best objective.  A
+selector triple (anchor assignment, diag_eq variants, diag_lt variants) is
+admissible when its box is nonempty; by construction the feasible region is
+exactly the union of those boxes, and some admissible triple's candidate
+attains the optimum.
 
-Enumeration is lexicographic in (anchors, eq variants, lt variants) with rows
-ascending and values ascending, as a DFS that folds componentwise max/min
-bounds along the path.  A branch is cut as soon as the partial upper bound
-drops below the fixed lower bound somewhere; only provably empty boxes are
-skipped, so the admissible stream is unaffected.  Ties between equal
-objectives go to the lexicographically smallest triple, which the streaming
-order yields for free.
+The selectors form one table of levels, one per row: anchor rows raise the
+partial box's lower bound, then eq rows and lt rows lower its upper bound,
+and a choice is cut as soon as the box is empty somewhere.  A depth-first
+walk (``enumerate_admissible``) streams every admissible triple in lex order.
+``solve`` and ``feasible_region`` build the table level by level instead,
+merging prefixes that reach the same partial box, since what follows depends
+only on the box.  Expanding each level's states in insertion order, values
+ascending, reaches every state first through its lex-smallest prefix, by
+induction over the levels: a prefix through parent state R is no smaller
+than R's lex-first prefix extended by the same value, and those extensions
+are generated in lex order.  So the merged boxes come in stream order, their
+multiplicities sum to the admissible count, and a strict-improvement scan
+keeps the lex-smallest triple among equal objectives.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator
 
@@ -49,8 +55,6 @@ from .reduction import (
     initial_state,
     reduce_domains,
 )
-
-PARALLEL_ENV = "MAXMINFRE_PARALLEL"
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,9 @@ class Solution:
         return self.status == "optimal"
 
 
+_EMPTY_STATS = Statistics(0, 0, (1, 1, 1), (1, 1, 1), (), ())
+
+
 def gate_feasibility(
     inst: Instance, cls: RowClassification, bounds: BoundVectors
 ) -> Infeasibility | None:
@@ -126,19 +133,50 @@ def gate_feasibility(
 
 
 def _stats(state: ReductionState, admissible: int = 0, enumerated: int = 0) -> Statistics:
-    initial = state.snapshots[0][1:]
-    final = state.cardinalities()
-    firings: dict[int, int] = {}
-    for event in state.trace:
-        firings[event.rule] = firings.get(event.rule, 0) + 1
+    firings = Counter(event.rule for event in state.trace)
     return Statistics(
         enumerated=enumerated,
         admissible=admissible,
-        initial_cards=initial,
-        final_cards=final,
+        initial_cards=state.snapshots[0][1:],
+        final_cards=state.cardinalities(),
         rule_firings=tuple(sorted(firings.items())),
         trace=tuple(state.trace),
     )
+
+
+def _levels(state: ReductionState, ext: ExtremalSet) -> list:
+    """One (raises_lower, ((value, vector), ...)) level per selector row:
+    anchor rows raise ``lower``, then eq rows and lt rows lower ``upper``;
+    values ascend within a level."""
+    masks = state.masks
+    return (
+        [
+            (True, tuple((j, ext.min_anchor[i, j]) for j in state.anchor_dom[i]))
+            for i in masks.lt_rows
+        ]
+        + [(False, tuple((v, ext.maximal(i, v)) for v in state.eq_dom[i])) for i in masks.eq_rows]
+        + [(False, tuple((v, ext.maximal(i, v)) for v in state.lt_dom[i])) for i in masks.lt_rows]
+    )
+
+
+def _step(raises_lower: bool, lower: Vec, upper: Vec, vec: Vec):
+    """The partial box after one choice, or None once it is provably empty."""
+    if raises_lower:
+        lower = vec_max(lower, vec)
+    else:
+        upper = vec_min(upper, vec)
+    return (lower, upper) if vec_le(lower, upper) else None
+
+
+def _root(bounds: BoundVectors):
+    lower = vec_max(bounds.lower_gt, bounds.lower_eq)
+    return (lower, bounds.upper_gt) if vec_le(lower, bounds.upper_gt) else None
+
+
+def _triple(state: ReductionState, values: tuple[int, ...]) -> Triple:
+    lt_rows, eq_rows = state.masks.lt_rows, state.masks.eq_rows
+    a, e = len(lt_rows), len(lt_rows) + len(eq_rows)
+    return Triple(lt_rows, values[:a], eq_rows, values[a:e], lt_rows, values[e:])
 
 
 def enumerate_admissible(
@@ -147,59 +185,43 @@ def enumerate_admissible(
     ext: ExtremalSet,
 ) -> Iterator[tuple[Triple, Cell]]:
     """Yield (triple, nonempty box) over the reduced domains in lex order."""
-    anchor_rows = state.masks.lt_rows
-    eq_rows = state.masks.eq_rows
-    lt_rows = anchor_rows
-    anchor_doms = [state.anchor_dom[i] for i in anchor_rows]
-    eq_doms = [state.eq_dom[i] for i in eq_rows]
-    lt_doms = [state.lt_dom[i] for i in lt_rows]
-    base_lower = vec_max(bounds.lower_gt, bounds.lower_eq)
-    n = len(base_lower)
-    cols = range(n)
+    levels = _levels(state, ext)
+    root = _root(bounds)
+    stack = [] if root is None else [(root, ())]
+    while stack:
+        (lower, upper), chosen = stack.pop()
+        if len(chosen) == len(levels):
+            yield _triple(state, chosen), Cell(lower, upper)
+            continue
+        raises_lower, options = levels[len(chosen)]
+        for value, vec in reversed(options):
+            box = _step(raises_lower, lower, upper, vec)
+            if box is not None:
+                stack.append((box, chosen + (value,)))
 
-    def lt_pass(lower: Vec, upper: Vec, anchors: tuple[int, ...], eqs: tuple[int, ...]):
-        stack = [(0, upper, ())]
-        while stack:
-            depth, cur, chosen = stack.pop()
-            if depth == len(lt_rows):
-                if all(lower[j] <= cur[j] for j in cols):
-                    yield Triple(
-                        anchor_rows, anchors, eq_rows, eqs, lt_rows, chosen
-                    ), Cell(lower, cur)
-                continue
-            row = lt_rows[depth]
-            for variant in reversed(lt_doms[depth]):
-                nxt = vec_min(cur, ext.maximal(row, variant))
-                if all(lower[j] <= nxt[j] for j in cols):
-                    stack.append((depth + 1, nxt, chosen + (variant,)))
 
-    def eq_pass(lower: Vec, anchors: tuple[int, ...]):
-        stack = [(0, bounds.upper_gt, ())]
-        while stack:
-            depth, cur, chosen = stack.pop()
-            if depth == len(eq_rows):
-                yield from lt_pass(lower, cur, anchors, chosen)
-                continue
-            row = eq_rows[depth]
-            for variant in reversed(eq_doms[depth]):
-                nxt = vec_min(cur, ext.maximal(row, variant))
-                if all(lower[j] <= nxt[j] for j in cols):
-                    stack.append((depth + 1, nxt, chosen + (variant,)))
+def _frontier(state: ReductionState, bounds: BoundVectors, ext: ExtremalSet) -> dict:
+    """(lower, upper) -> [multiplicity, lex-first triple as a backwards
+    (value, parent) chain] for every distinct nonempty box, in stream order."""
+    root = _root(bounds)
+    frontier = {} if root is None else {root: [1, None]}
+    for raises_lower, options in _levels(state, ext):
+        merged: dict = {}
+        for (lower, upper), (count, chain) in frontier.items():
+            for value, vec in options:
+                box = _step(raises_lower, lower, upper, vec)
+                if box is not None:
+                    merged.setdefault(box, [0, (value, chain)])[0] += count
+        frontier = merged
+    return frontier
 
-    def anchor_pass():
-        stack = [(0, base_lower, ())]
-        while stack:
-            depth, cur, chosen = stack.pop()
-            if depth == len(anchor_rows):
-                yield from eq_pass(cur, chosen)
-                continue
-            row = anchor_rows[depth]
-            for column in reversed(anchor_doms[depth]):
-                nxt = vec_max(cur, ext.min_anchor[row, column])
-                if all(nxt[j] <= bounds.upper_gt[j] for j in cols):
-                    stack.append((depth + 1, nxt, chosen + (column,)))
 
-    yield from anchor_pass()
+def _choices(chain) -> tuple[int, ...]:
+    values = []
+    while chain is not None:
+        value, chain = chain
+        values.append(value)
+    return tuple(reversed(values))
 
 
 def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
@@ -235,67 +257,30 @@ def _prepare(inst: Instance, use_rules: bool):
     return cls, ext, bounds, state, state.infeasible
 
 
-def _empty_stats() -> Statistics:
-    return Statistics(0, 0, (1, 1, 1), (1, 1, 1), (), ())
-
-
-def parallelism_degree() -> int:
-    try:
-        return max(1, int(os.environ.get(PARALLEL_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def solve(inst: Instance, use_rules: bool = True) -> Solution:
     """Global optimum or an infeasibility verdict naming its detector."""
     cls, ext, bounds, state, infeasible = _prepare(inst, use_rules)
     if infeasible is not None:
-        stats = _stats(state) if state is not None else _empty_stats()
+        stats = _stats(state) if state is not None else _EMPTY_STATS
         return Solution("infeasible", None, infeasible, stats)
 
-    enumerated = math.prod(state.cardinalities())
+    frontier = _frontier(state, bounds, ext)
     best: Candidate | None = None
-    admissible = 0
-    degree = parallelism_degree()
-    stream = enumerate_admissible(state, bounds, ext)
-    if degree > 1:
-        candidates = _parallel_candidates(inst, stream, degree)
-    else:
-        candidates = (
-            make_candidate(triple, cell, inst.c, inst.sense) for triple, cell in stream
-        )
-    for cand in candidates:
-        admissible += 1
+    best_chain = None
+    for (lower, upper), (_, chain) in frontier.items():
+        cand = make_candidate(None, Cell(lower, upper), inst.c, inst.sense)
         if best is None or _better(inst.sense, cand.objective, best.objective):
-            best = cand
+            best, best_chain = cand, chain
 
-    stats = _stats(state, admissible=admissible, enumerated=enumerated)
+    stats = _stats(
+        state,
+        admissible=sum(count for count, _ in frontier.values()),
+        enumerated=math.prod(state.cardinalities()),
+    )
     if best is None:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
+    best = replace(best, triple=_triple(state, _choices(best_chain)))
     return Solution("optimal", best, None, stats)
-
-
-def _parallel_candidates(inst, stream, degree):
-    """Evaluate candidates in worker processes, preserving stream order."""
-    import multiprocessing as mp
-
-    try:
-        pool = mp.get_context("fork").Pool(degree)
-    except (OSError, ValueError):  # restricted environments: fall back
-        for triple, cell in stream:
-            yield make_candidate(triple, cell, inst.c, inst.sense)
-        return
-    with pool:
-        yield from pool.imap(
-            _candidate_worker,
-            ((triple, cell, inst.c, inst.sense) for triple, cell in stream),
-            chunksize=64,
-        )
-
-
-def _candidate_worker(args):
-    triple, cell, c, sense = args
-    return make_candidate(triple, cell, c, sense)
 
 
 def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
@@ -307,11 +292,10 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
     cls, ext, bounds, state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
         return []
-    cells = [cell for _, cell in enumerate_admissible(state, bounds, ext)]
     if not dedup:
-        return cells
+        return [cell for _, cell in enumerate_admissible(state, bounds, ext)]
     kept: list[Cell] = []
-    for cell in cells:
+    for cell in (Cell(lower, upper) for lower, upper in _frontier(state, bounds, ext)):
         if any(other.dominates(cell) for other in kept):
             continue
         kept = [other for other in kept if not cell.dominates(other)]

@@ -81,7 +81,10 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"invalid JSON graph: {exc}") from exc
         if "adjacency" not in doc:
             raise GraphError('JSON graph must contain an "adjacency" matrix')
-        return graph_from_adjacency(doc["adjacency"])
+        try:
+            return graph_from_adjacency(doc["adjacency"])
+        except TypeError as exc:
+            raise GraphError(f"adjacency must be a matrix of 0/1 entries: {exc}") from exc
     n = None
     declared_edges = None
     edges = []

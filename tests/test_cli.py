@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from maxminfre import cli
 from maxminfre.cli import main
 
 from .conftest import DATA_DIR, RULES_BLIND_INFEASIBLE
@@ -169,6 +171,41 @@ def test_check_subcommand(capsys):
     doc = json.loads(out)
     assert code == 1 and not doc["feasible"]
     assert doc["rows"][0]["achieved"] == "0"
+
+
+def test_input_contract_enforced_at_load(capsys, tmp_path):
+    third = tmp_path / "third.json"
+    third.write_text(json.dumps({"A": [["0.5"]], "b": ["1/3"], "c": ["1"]}))
+    code, out, err = run_cli(capsys, "solve", str(third), "--json")
+    assert code == 2 and out == "" and "b[1]" in err
+    code, _, err = run_cli(capsys, "check", DEMO, "--x", "1/3,0,0,0,0,0,0,0,0,0")
+    assert code == 2 and "x[1]" in err
+    code, _, err = run_cli(capsys, "check", DEMO, "--x", "[0, 0")
+    assert code == 2 and "--x" in err
+
+
+def test_internal_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    code, _, err = run_cli(capsys, "solve", DEMO)
+    assert code == 3 and "Traceback" in err and "internal defect" in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxminfre.cli", "region", DEMO, "--json", "--no-dedup"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == ""
 
 
 def test_console_script_entry_point():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,33 @@ def test_load_rejects_out_of_range():
         load_instance({"A": [["0.5"]], "b": ["1.5"], "c": ["1"], "sense": "min"})
     with pytest.raises(InstanceError, match="outside"):
         load_instance({"A": [["-0.1"]], "b": ["0.5"], "c": ["1"], "sense": "min"})
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"A": [["1/3"]], "b": ["0.5"], "c": ["1"]}, "A[1][1]"),
+        ({"A": [["0.5"]], "b": ["1/3"], "c": ["1"]}, "b[1]"),
+        ({"A": [["0.5"]], "b": ["0.5"], "c": ["2/3"]}, "c[1]"),
+        ({"A": [["0.5"]], "b": [None], "c": ["1"]}, "b[1]"),
+    ],
+)
+def test_load_rejects_non_decimal_scalars(doc, field):
+    with pytest.raises(InstanceError, match=re.escape(field)):
+        load_instance(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"A": "00", "b": ["0"], "c": ["1"]}, "A must be an array"),
+        ({"A": ["00", "00"], "b": ["0", "0"], "c": ["1", "1"]}, "array of rows"),
+        ({"A": [["0"]], "b": 0, "c": ["1"]}, "b must be an array"),
+    ],
+)
+def test_load_rejects_non_array_fields(doc, match):
+    with pytest.raises(InstanceError, match=match):
+        load_instance(doc)
 
 
 def test_load_rejects_dimension_mismatch():
@@ -151,6 +179,11 @@ def test_membership_violation_records_first_column():
 def test_membership_dimension_mismatch(demo10):
     with pytest.raises(InstanceError):
         check_membership(demo10, fracs("0.5", "0.5"))
+
+
+def test_membership_rejects_non_decimal_point(demo10):
+    with pytest.raises(InstanceError, match=re.escape("x[2]")):
+        check_membership(demo10, ["0", "1/3"] + ["0"] * 8)
 
 
 @given(instance_with_point())

@@ -14,17 +14,22 @@ from maxminfre import (
     gate_feasibility,
     load_instance,
     make_candidate,
+    make_graph,
     selector_bounds,
     solve,
+    solve_cover,
+    verify_structure,
 )
 from maxminfre.exact import ONE, ZERO
 from maxminfre.extremals import BoundVectors, Cell
+from maxminfre.generate import random_fre_doc, random_graph_edges
 from maxminfre.reduction import (
     CAUSE_BOUND_CROSSING,
     CAUSE_EMPTY_SUPPORT,
     CAUSE_NO_TRIPLE,
     build_masks,
     initial_state,
+    reduce_domains,
 )
 from maxminfre.solver import enumerate_admissible
 
@@ -174,13 +179,6 @@ def test_solve_deterministic(demo10):
     assert solve(demo10) == solve(demo10)
 
 
-def test_parallel_matches_sequential(demo10, monkeypatch):
-    sequential = solve(demo10)
-    monkeypatch.setenv("MAXMINFRE_PARALLEL", "2")
-    parallel = solve(demo10)
-    assert parallel == sequential
-
-
 @given(instances(max_n=4))
 def test_rules_do_not_change_the_optimum(inst):
     with_rules = solve(inst, use_rules=True)
@@ -239,3 +237,56 @@ def test_binary_coefficients_give_binary_optimum():
         sol = solve(Instance(inst.n, inst.A, inst.b, inst.c, sense))
         assert sol.optimal
         assert set(sol.candidate.x) <= {ZERO, ONE}
+
+
+def _stream_scan(inst):
+    """Reference: (admissible, best candidate, dedup region) from a scan over
+    every triple of the plain lex stream, without merging boxes."""
+    cls, ext, bounds = _prep(inst)
+    stream = []
+    if gate_feasibility(inst, cls, bounds) is None:
+        state = reduce_domains(inst, cls, ext, bounds)
+        if state.infeasible is None:
+            stream = list(enumerate_admissible(state, bounds, ext))
+    best = None
+    region: list[Cell] = []
+    for triple, cell in stream:
+        cand = make_candidate(triple, cell, inst.c, inst.sense)
+        if best is None or (
+            cand.objective < best.objective
+            if inst.sense == "min"
+            else cand.objective > best.objective
+        ):
+            best = cand
+        if not any(kept.dominates(cell) for kept in region):
+            region = [kept for kept in region if not cell.dominates(kept)] + [cell]
+    return len(stream), best, region
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("n", range(6, 11))
+def test_frontier_matches_stream_scan(n, sense):
+    feasible = 0
+    for seed in range(40):
+        inst = load_instance(random_fre_doc(n, 0.7, seed, sense=sense, b_cap=0.3))
+        admissible, best, region = _stream_scan(inst)
+        sol = solve(inst)
+        assert sol.statistics.admissible == admissible
+        assert sol.candidate == best
+        assert feasible_region(inst) == region
+        feasible += sol.optimal
+    assert feasible >= 10
+
+
+def test_seed10_merges_every_triple_into_one_box():
+    inst = load_instance(random_fre_doc(16, 0.7, 10, b_cap=0.5))
+    sol = solve(inst)
+    assert sol.optimal and sol.statistics.admissible == 73920
+    assert len(feasible_region(inst)) == 1
+
+
+def test_cover_general_agrees_with_specialized_up_to_16():
+    for n in range(1, 17):
+        g = make_graph(n, random_graph_edges(n, 0.3, seed=n))
+        result = solve_cover(g, specialized=True)  # raises on any disagreement
+        assert verify_structure(result, g).ok

@@ -58,6 +58,7 @@ def test_parse_json_adjacency():
         ('{"edges": [[1, 2]]}', "adjacency"),
         ('{"adjacency": [[0, 1], [0, 0]]}', "symmetric"),
         ('{"adjacency": [[1]]}', "self-loop"),
+        ('{"adjacency": 5}', "matrix"),
     ],
 )
 def test_parse_rejects_malformed(text, match):
