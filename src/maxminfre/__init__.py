@@ -38,10 +38,8 @@ from .oracle import (
 )
 from .reduction import (
     Infeasibility,
-    MaskMatrices,
     ReductionState,
     TraceEvent,
-    build_masks,
     reduce_domains,
 )
 from .solver import (

@@ -1,12 +1,12 @@
 """Command-line frontend.
 
-Subcommands: solve, reduce, region, vc, oracle, gen, check.  Instance files
-are JSON documents {"A", "b", "c", "sense"} with decimal-string or numeric
-entries; graphs are edge lists ('p <n> <m>' / 'e <u> <v>') or JSON adjacency.
-Exit codes: 0 solved/feasible, 1 infeasible/not-a-member, 2 input error,
-3 internal error (with a traceback).  A reader that closes the output pipe
-early ends the run quietly with 141, as SIGPIPE would.  All numeric output is
-exact decimal; objectives also carry a two-decimal display form.
+Subcommands: solve, reduce, extremals, region, vc, oracle, gen, check.
+Instance files are JSON documents {"A", "b", "c", "sense"} with decimal-string
+or numeric entries; graphs are edge lists ('p <n> <m>' / 'e <u> <v>') or JSON
+adjacency.  Exit codes: 0 solved/feasible, 1 infeasible/not-a-member, 2 input
+error, 3 internal error (with a traceback).  A reader that closes the output
+pipe early ends the run quietly with 141, as SIGPIPE would.  All numeric
+output is exact decimal; objectives also carry a two-decimal display form.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
 def _echo(args, command: str, path_attr: str) -> str:
     flags = [
         f"--{name.replace('_', '-')}"
-        for name in ("no_rules", "trace", "region", "brute", "specialized")
+        for name in ("no_rules", "trace", "region", "brute")
         if getattr(args, name, False)
     ]
     return " ".join([command, getattr(args, path_attr), *flags])
@@ -166,9 +166,9 @@ def cmd_reduce(args) -> int:
     state = reduce_domains(inst, cls, ext, bounds)
     for event in state.trace:
         print(event.line())
-    for i in state.masks.eq_rows:
+    for i in state.eq_rows:
         print(f"eq row {i}: variants {set(state.eq_dom[i]) or '{}'}")
-    for i in state.masks.lt_rows:
+    for i in state.lt_rows:
         print(f"lt row {i}: variants {set(state.lt_dom[i]) or '{}'}")
         print(f"lt row {i}: anchors {set(state.anchor_dom[i]) or '{}'}")
     for stage, eq, lt, anchor in state.snapshots:
@@ -219,7 +219,7 @@ def cmd_region(args) -> int:
 
 def cmd_vc(args) -> int:
     graph = load_graph(args.graph)
-    result = solve_cover(graph, specialized=args.specialized)
+    result = solve_cover(graph)
     report = verify_structure(result, graph)
     doc = {
         "command": _echo(args, "vc", "graph"),
@@ -348,18 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="resolve the feasible region into boxes")
     p.add_argument("instance")
-    p.add_argument("--no-dedup", action="store_true", help="keep dominated boxes")
+    p.add_argument(
+        "--no-dedup", action="store_true", help="list every distinct box, dominated ones too"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("vc", help="minimum vertex cover of a graph file")
     p.add_argument("graph")
     p.add_argument("--brute", action="store_true", help="cross-check with the oracle")
-    p.add_argument(
-        "--specialized",
-        action="store_true",
-        help="also run the pruned direct search and assert agreement",
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_vc)
 

@@ -143,6 +143,11 @@ class BoundVectors:
     upper_gt: Vec  # min of diag_gt maximums
     lower_eq: Vec  # max of diag_eq minimums
 
+    @property
+    def lower(self) -> Vec:
+        """The combined lower bound every box starts from."""
+        return vec_max(self.lower_gt, self.lower_eq)
+
 
 def aggregate_bounds(ext: ExtremalSet, cls: RowClassification) -> BoundVectors:
     n = cls.n
@@ -224,6 +229,6 @@ class Cell:
 
 def cell_of(bounds: BoundVectors, sel: SelectorBounds) -> Cell:
     return Cell(
-        lower=vec_max(bounds.lower_gt, bounds.lower_eq, sel.lower_lt),
+        lower=vec_max(bounds.lower, sel.lower_lt),
         upper=vec_min(bounds.upper_gt, sel.upper_eq, sel.upper_lt),
     )

@@ -1,11 +1,12 @@
-"""Domain reduction: mask matrices and the seven pruning rules.
+"""Domain reduction: the seven pruning rules over the selector domains.
 
 Before enumeration, each diag_eq and diag_lt row owns a small selector
 domain: which maximal variant participates (values 1/2) and, for diag_lt
 rows, which anchor column carries the minimal solution.  The rules below
 remove selector values that can only produce empty boxes; they never remove
-an admissible selection.  Removed values leave the row's domain; the mask
-tables themselves never change.
+an admissible selection.  Removed values leave the row's domain; the
+extremal vectors that the values stand for (``ExtremalSet``) never change,
+and the rules read them there.
 
 Rule summary (targets in parentheses):
 
@@ -27,10 +28,9 @@ as infeasibility verdicts, never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact import Vec
-from .extremals import BoundVectors, ExtremalSet, RowClassification, vec_max
+from .extremals import BoundVectors, ExtremalSet, RowClassification
 from .model import Instance
 
 CAUSE_EMPTY_SUPPORT = "empty-support"
@@ -65,43 +65,10 @@ class TraceEvent:
 
 
 @dataclass
-class MaskMatrices:
-    """Maximal/minimal solution tables.
-
-    ``eq_rows``/``lt_rows`` fix the k -> row-index mapping (ascending).  The
-    anchored-minimal table stores one value per (row, column) with the column
-    ranging over the row's support plus the row's own index; entries outside
-    that pattern do not exist.
-    """
-
-    eq_rows: tuple[int, ...]
-    lt_rows: tuple[int, ...]
-    eq_max1: tuple[Vec, ...]
-    eq_max2: tuple[Vec, ...]
-    lt_max1: tuple[Vec, ...]
-    lt_max2: tuple[Vec, ...]
-    lt_min: tuple[dict[int, Fraction], ...]  # per lt row: column -> value
-
-
-def build_masks(ext: ExtremalSet, cls: RowClassification, b: Vec) -> MaskMatrices:
-    lt_min = []
-    for i in cls.diag_lt:
-        value = b[i - 1]
-        lt_min.append({j: value for j in sorted(set(cls.support[i]) | {i})})
-    return MaskMatrices(
-        eq_rows=cls.diag_eq,
-        lt_rows=cls.diag_lt,
-        eq_max1=tuple(ext.max_pin[i] for i in cls.diag_eq),
-        eq_max2=tuple(ext.max_cap[i] for i in cls.diag_eq),
-        lt_max1=tuple(ext.max_pin[i] for i in cls.diag_lt),
-        lt_max2=tuple(ext.max_cap[i] for i in cls.diag_lt),
-        lt_min=tuple(lt_min),
-    )
-
-
-@dataclass
 class ReductionState:
-    masks: MaskMatrices
+    ext: ExtremalSet  # the vectors that every selector value stands for
+    eq_rows: tuple[int, ...]  # diag_eq rows, ascending
+    lt_rows: tuple[int, ...]  # diag_lt rows, ascending
     eq_dom: dict[int, tuple[int, ...]]  # diag_eq row -> surviving variants
     lt_dom: dict[int, tuple[int, ...]]  # diag_lt row -> surviving variants
     anchor_dom: dict[int, tuple[int, ...]]  # diag_lt row -> surviving anchors
@@ -132,9 +99,11 @@ class ReductionState:
         self.trace.append(TraceEvent(rule, row, column, witness))
 
 
-def initial_state(masks: MaskMatrices, cls: RowClassification) -> ReductionState:
+def initial_state(ext: ExtremalSet, cls: RowClassification) -> ReductionState:
     state = ReductionState(
-        masks=masks,
+        ext=ext,
+        eq_rows=cls.diag_eq,
+        lt_rows=cls.diag_lt,
         eq_dom={i: (1, 2) for i in cls.diag_eq},
         lt_dom={i: (1, 2) for i in cls.diag_lt},
         anchor_dom={i: tuple(cls.support[i]) for i in cls.diag_lt},
@@ -147,11 +116,11 @@ def _variant_exhaustion(state: ReductionState) -> None:
     """Record infeasibility when a row has lost both maximal variants."""
     if state.infeasible is not None:
         return
-    empty_eq = tuple(i for i in state.masks.eq_rows if not state.eq_dom[i])
+    empty_eq = tuple(i for i in state.eq_rows if not state.eq_dom[i])
     if empty_eq:
         state.infeasible = Infeasibility(CAUSE_EQ_VARIANTS, empty_eq)
         return
-    empty_lt = tuple(i for i in state.masks.lt_rows if not state.lt_dom[i])
+    empty_lt = tuple(i for i in state.lt_rows if not state.lt_dom[i])
     if empty_lt:
         state.infeasible = Infeasibility(CAUSE_LT_VARIANTS, empty_lt)
 
@@ -159,25 +128,21 @@ def _variant_exhaustion(state: ReductionState) -> None:
 def _anchor_exhaustion(state: ReductionState) -> None:
     if state.infeasible is not None:
         return
-    empty = tuple(i for i in state.masks.lt_rows if not state.anchor_dom[i])
+    empty = tuple(i for i in state.lt_rows if not state.anchor_dom[i])
     if empty:
         state.infeasible = Infeasibility(CAUSE_ANCHORS, empty)
 
 
 def apply_bound_rules(state: ReductionState, bounds: BoundVectors) -> ReductionState:
     """Rules 1 and 2: kill maximal variants crossed by the combined lower bound."""
-    lower = vec_max(bounds.lower_gt, bounds.lower_eq)
-    masks = state.masks
-    for family, rows, tables, dom in (
-        ("eq", masks.eq_rows, (masks.eq_max1, masks.eq_max2), state.eq_dom),
-        ("lt", masks.lt_rows, (masks.lt_max1, masks.lt_max2), state.lt_dom),
+    lower = bounds.lower
+    for rule, family, rows, dom in (
+        (1, "eq", state.eq_rows, state.eq_dom),
+        (2, "lt", state.lt_rows, state.lt_dom),
     ):
-        rule = {"eq": 1, "lt": 2}[family]
-        for k, row in enumerate(rows):
-            for variant in (1, 2):
-                if variant not in dom[row]:
-                    continue
-                vec = tables[variant - 1][k]
+        for row in rows:
+            for variant in dom[row]:
+                vec = state.ext.maximal(row, variant)
                 hit = next((j for j in range(1, len(vec) + 1) if lower[j - 1] > vec[j - 1]), None)
                 if hit is not None:
                     state._remove_variant(rule, family, row, variant, (hit,))
@@ -189,10 +154,9 @@ def apply_bound_rules(state: ReductionState, bounds: BoundVectors) -> ReductionS
 def apply_minimal_rule3(state: ReductionState, bounds: BoundVectors) -> ReductionState:
     """Rule 3: kill anchors whose minimal solution crosses the diag_gt upper bound."""
     upper = bounds.upper_gt
-    for k, row in enumerate(state.masks.lt_rows):
-        values = state.masks.lt_min[k]
+    for row in state.lt_rows:
         for j in state.anchor_dom[row]:
-            if values[j] > upper[j - 1]:
+            if state.ext.min_anchor[row, j][j - 1] > upper[j - 1]:
                 state._remove_anchor(3, row, j, (j,))
     state.snapshot("rule3")
     _anchor_exhaustion(state)
@@ -202,18 +166,18 @@ def apply_minimal_rule3(state: ReductionState, bounds: BoundVectors) -> Reductio
 def apply_cross_rules(state: ReductionState, inst: Instance, cls: RowClassification) -> ReductionState:
     """Rules 4 and 5: a row whose capped target is strictly below another
     row's anchored requirement cannot use its variant-2 maximal."""
-    for r in state.masks.eq_rows:
+    for r in state.eq_rows:
         if 2 not in state.eq_dom[r]:
             continue
-        for s in state.masks.lt_rows:
+        for s in state.lt_rows:
             if inst.entry(r, s) > inst.b[r - 1] and inst.b[r - 1] < inst.b[s - 1]:
                 state._remove_variant(4, "eq", r, 2, (r, s))
                 break
     state.snapshot("rule4")
-    for r in state.masks.lt_rows:
+    for r in state.lt_rows:
         if 2 not in state.lt_dom[r]:
             continue
-        for s in state.masks.lt_rows:
+        for s in state.lt_rows:
             if r == s:
                 continue
             if inst.entry(r, s) > inst.b[r - 1] and inst.b[r - 1] < inst.b[s - 1]:
@@ -227,17 +191,17 @@ def apply_cross_rules(state: ReductionState, inst: Instance, cls: RowClassificat
 def apply_pinned_rules(state: ReductionState, cls: RowClassification, b: Vec) -> ReductionState:
     """Rules 6 and 7: a row pinned to variant 1 keeps its own coordinate at
     its target, so it cannot anchor a row with a strictly larger target."""
-    for r in state.masks.eq_rows:
+    for r in state.eq_rows:
         if state.eq_dom[r] != (1,):
             continue
-        for s in state.masks.lt_rows:
+        for s in state.lt_rows:
             if r in state.anchor_dom[s] and b[r - 1] < b[s - 1]:
                 state._remove_anchor(6, s, r, (r, s))
     state.snapshot("rule6")
-    for r in state.masks.lt_rows:
+    for r in state.lt_rows:
         if state.lt_dom[r] != (1,):
             continue
-        for s in state.masks.lt_rows:
+        for s in state.lt_rows:
             if s == r:
                 continue
             if r in state.anchor_dom[s] and b[r - 1] < b[s - 1]:
@@ -254,7 +218,7 @@ def reduce_domains(
     bounds: BoundVectors,
 ) -> ReductionState:
     """Full rule pipeline; stops early once infeasibility is recorded."""
-    state = initial_state(build_masks(ext, cls, inst.b), cls)
+    state = initial_state(ext, cls)
     apply_bound_rules(state, bounds)
     if state.infeasible:
         return state
@@ -267,23 +231,3 @@ def reduce_domains(
     apply_pinned_rules(state, cls, inst.b)
     return state
 
-
-def replay_trace(
-    masks: MaskMatrices, cls: RowClassification, trace: list[TraceEvent]
-) -> ReductionState:
-    """Re-apply recorded removals to a fresh state (no rule logic)."""
-    state = initial_state(masks, cls)
-    for event in trace:
-        if event.rule in (1, 4):
-            state.eq_dom[event.target] = tuple(
-                v for v in state.eq_dom[event.target] if v != event.removed
-            )
-        elif event.rule in (2, 5):
-            state.lt_dom[event.target] = tuple(
-                v for v in state.lt_dom[event.target] if v != event.removed
-            )
-        else:
-            state.anchor_dom[event.target] = tuple(
-                j for j in state.anchor_dom[event.target] if j != event.removed
-            )
-    return state

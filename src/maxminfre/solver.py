@@ -1,7 +1,7 @@
 """End-to-end solve pipeline.
 
-classify -> extremals -> bounds -> feasibility gates -> masks -> rules ->
-selector levels -> distinct boxes -> per-box candidate -> best objective.  A
+classify -> extremals -> bounds -> feasibility gates -> rules -> selector
+levels -> distinct boxes -> per-box candidate -> best objective.  A
 selector triple (anchor assignment, diag_eq variants, diag_lt variants) is
 admissible when its box is nonempty; by construction the feasible region is
 exactly the union of those boxes, and some admissible triple's candidate
@@ -10,7 +10,8 @@ attains the optimum.
 The selectors form one table of levels, one per row: anchor rows raise the
 partial box's lower bound, then eq rows and lt rows lower its upper bound,
 and a choice is cut as soon as the box is empty somewhere.  A depth-first
-walk (``enumerate_admissible``) streams every admissible triple in lex order.
+walk (``enumerate_admissible``) streams every admissible triple in lex order;
+it is the reference that the merged walk below is checked against.
 ``solve`` and ``feasible_region`` build the table level by level instead,
 merging prefixes that reach the same partial box, since what follows depends
 only on the box.  Expanding each level's states in insertion order, values
@@ -51,7 +52,6 @@ from .reduction import (
     Infeasibility,
     ReductionState,
     TraceEvent,
-    build_masks,
     initial_state,
     reduce_domains,
 )
@@ -123,7 +123,7 @@ def gate_feasibility(
     """Cheap necessary conditions checked before any enumeration."""
     if cls.empty_support:
         return Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support)
-    lower = vec_max(bounds.lower_gt, bounds.lower_eq)
+    lower = bounds.lower
     if not vec_le(lower, bounds.upper_gt):
         rows = tuple(
             j for j in inst.rows if lower[j - 1] > bounds.upper_gt[j - 1]
@@ -148,14 +148,13 @@ def _levels(state: ReductionState, ext: ExtremalSet) -> list:
     """One (raises_lower, ((value, vector), ...)) level per selector row:
     anchor rows raise ``lower``, then eq rows and lt rows lower ``upper``;
     values ascend within a level."""
-    masks = state.masks
     return (
         [
             (True, tuple((j, ext.min_anchor[i, j]) for j in state.anchor_dom[i]))
-            for i in masks.lt_rows
+            for i in state.lt_rows
         ]
-        + [(False, tuple((v, ext.maximal(i, v)) for v in state.eq_dom[i])) for i in masks.eq_rows]
-        + [(False, tuple((v, ext.maximal(i, v)) for v in state.lt_dom[i])) for i in masks.lt_rows]
+        + [(False, tuple((v, ext.maximal(i, v)) for v in state.eq_dom[i])) for i in state.eq_rows]
+        + [(False, tuple((v, ext.maximal(i, v)) for v in state.lt_dom[i])) for i in state.lt_rows]
     )
 
 
@@ -169,12 +168,12 @@ def _step(raises_lower: bool, lower: Vec, upper: Vec, vec: Vec):
 
 
 def _root(bounds: BoundVectors):
-    lower = vec_max(bounds.lower_gt, bounds.lower_eq)
+    lower = bounds.lower
     return (lower, bounds.upper_gt) if vec_le(lower, bounds.upper_gt) else None
 
 
 def _triple(state: ReductionState, values: tuple[int, ...]) -> Triple:
-    lt_rows, eq_rows = state.masks.lt_rows, state.masks.eq_rows
+    lt_rows, eq_rows = state.lt_rows, state.eq_rows
     a, e = len(lt_rows), len(lt_rows) + len(eq_rows)
     return Triple(lt_rows, values[:a], eq_rows, values[a:e], lt_rows, values[e:])
 
@@ -253,7 +252,7 @@ def _prepare(inst: Instance, use_rules: bool):
     if use_rules:
         state = reduce_domains(inst, cls, ext, bounds)
     else:
-        state = initial_state(build_masks(ext, cls, inst.b), cls)
+        state = initial_state(ext, cls)
     return cls, ext, bounds, state, state.infeasible
 
 
@@ -284,7 +283,8 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
 
 
 def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
-    """All nonempty boxes over admissible triples; empty when infeasible.
+    """All distinct nonempty boxes over admissible triples, in stream order;
+    empty when infeasible.
 
     With ``dedup`` every box contained in another returned box is dropped
     (first occurrence wins among equals), which does not change the union.
@@ -292,10 +292,11 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
     cls, ext, bounds, state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
         return []
+    cells = [Cell(lower, upper) for lower, upper in _frontier(state, bounds, ext)]
     if not dedup:
-        return [cell for _, cell in enumerate_admissible(state, bounds, ext)]
+        return cells
     kept: list[Cell] = []
-    for cell in (Cell(lower, upper) for lower, upper in _frontier(state, bounds, ext)):
+    for cell in cells:
         if any(other.dominates(cell) for other in kept):
             continue
         kept = [other for other in kept if not cell.dominates(other)]

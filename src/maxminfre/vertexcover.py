@@ -18,7 +18,6 @@ from fractions import Fraction
 from .exact import ONE, ZERO, Vec
 from .extremals import classify_rows, extremal_solutions
 from .model import Instance, InstanceError
-from .reduction import build_masks
 from .solver import Solution, solve
 
 
@@ -158,64 +157,14 @@ class CoverResult:
     solution: Solution
 
 
-def _specialized_optimum(g: Graph) -> tuple[Vec, tuple[int, ...]]:
-    """Direct search over variant assignments with forward pruning.
-
-    Assigning variant 2 to a row zeroes its neighbors' coordinates, so two
-    adjacent rows never both need variant 2: whenever a neighbor already
-    holds 2, only variant 1 is tried.  The first-found best keeps the
-    lexicographically smallest assignment.
-    """
-    n = g.n
-    adjacency = g.adjacency
-    ones: Vec = (ONE,) * n
-    best_vec: Vec | None = None
-    best_sum: Fraction | None = None
-    best_assign: tuple[int, ...] | None = None
-
-    def descend(row: int, cur: Vec, assign: tuple[int, ...]):
-        nonlocal best_vec, best_sum, best_assign
-        if row > n:
-            total = sum(cur, ZERO)
-            if best_sum is None or total > best_sum:
-                best_vec, best_sum, best_assign = cur, total, assign
-            return
-        pinned = tuple(
-            cur[j] if j != row - 1 else min(cur[j], ZERO) for j in range(n)
-        )
-        descend(row + 1, pinned, assign + (1,))
-        if any(assign[v - 1] == 2 for v in range(1, row) if adjacency[row - 1][v - 1]):
-            return
-        capped = tuple(
-            min(cur[j], ZERO) if adjacency[row - 1][j] else cur[j] for j in range(n)
-        )
-        descend(row + 1, capped, assign + (2,))
-
-    descend(1, ones, ())
-    assert best_vec is not None and best_assign is not None
-    return best_vec, best_assign
-
-
-def solve_cover(g: Graph, specialized: bool = False) -> CoverResult:
-    """Minimum vertex cover via the general solver.
-
-    With ``specialized`` the pruned direct search runs as well and its result
-    is asserted identical to the general route.
-    """
+def solve_cover(g: Graph) -> CoverResult:
+    """Minimum vertex cover via the general solver."""
     inst = graph_to_instance(g)
     sol = solve(inst)
     if not sol.optimal:  # zero vector always satisfies zero targets
         raise AssertionError(f"cover instance reported infeasible: {sol.cause}")
-    cand = sol.candidate
-    x = cand.x
-    selector = dict(cand.triple.eq_choice)
-    if specialized:
-        spec_x, spec_assign = _specialized_optimum(g)
-        if spec_x != x or spec_assign != cand.triple.eq_choices:
-            raise AssertionError(
-                "specialized search disagrees with the general solver: "
-                f"{spec_x} vs {x}"
-            )
+    x = sol.candidate.x
+    selector = dict(sol.candidate.triple.eq_choice)
     cover = tuple(j for j in range(1, g.n + 1) if x[j - 1] == ZERO)
     return CoverResult(
         cover=cover,
@@ -296,15 +245,14 @@ def verify_structure(result: CoverResult, g: Graph) -> StructureReport:
         )
     )
 
-    masks = build_masks(ext, cls, inst.b)
     pin_ok = all(
-        masks.eq_max1[k] == tuple(ZERO if j == i else ONE for j in range(1, g.n + 1))
-        for k, i in enumerate(masks.eq_rows)
+        ext.max_pin[i] == tuple(ZERO if j == i else ONE for j in range(1, g.n + 1))
+        for i in cls.diag_eq
     )
     cap_ok = all(
-        masks.eq_max2[k]
+        ext.max_cap[i]
         == tuple(ONE - Fraction(adjacency[i - 1][j - 1]) for j in range(1, g.n + 1))
-        for k, i in enumerate(masks.eq_rows)
+        for i in cls.diag_eq
     )
     checks.append(
         StructureCheck(

@@ -96,12 +96,12 @@ def test_region_subcommand(capsys, infeasible_file):
     assert len(doc["cells"]) == 1
     assert doc["cells"][0]["upper"][5] == "1"
     code, out, _ = run_cli(capsys, "region", DEMO, "--json", "--no-dedup")
-    assert len(json.loads(out)["cells"]) == 8
+    assert len(json.loads(out)["cells"]) == 2
     assert run_cli(capsys, "region", infeasible_file)[0] == 1
 
 
 def test_vc_subcommand(capsys, triangle_file, tmp_path):
-    code, out, _ = run_cli(capsys, "vc", triangle_file, "--brute", "--specialized", "--json")
+    code, out, _ = run_cli(capsys, "vc", triangle_file, "--brute", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["size"] == 2 and doc["brute_agrees"] and doc["checks_ok"]

@@ -5,7 +5,6 @@ from hypothesis import assume, given
 
 from maxminfre import (
     aggregate_bounds,
-    build_masks,
     cell_of,
     classify_rows,
     extremal_solutions,
@@ -21,7 +20,6 @@ from maxminfre.reduction import (
     apply_minimal_rule3,
     initial_state,
     reduce_domains,
-    replay_trace,
 )
 
 from .conftest import DEMO_SNAPSHOTS, DEMO_TRACE, frac, fracs, instances
@@ -56,22 +54,21 @@ def _admissible(inst, cls, ext, bounds, anchors, eqs, lts):
     return not cell_of(bounds, sel).is_empty
 
 
-def test_demo_masks(demo10):
+def test_initial_state_rows_and_domains(demo10):
     cls, ext, _ = _pipeline(demo10)
-    masks = build_masks(ext, cls, demo10.b)
-    assert masks.eq_rows == (2, 4, 5, 6) and masks.lt_rows == (7, 8, 10)
-    assert masks.eq_max1[0] == fracs(1, "0.57", 1, 1, 1, 1, 1, 1, 1, 1)
-    assert sorted(masks.lt_min[0]) == [1, 3, 4, 6, 7, 9, 10]
-    assert set(masks.lt_min[0].values()) == {frac("0.55")}
-    assert sorted(masks.lt_min[1]) == [1, 2, 4, 5, 7, 8, 9]
-    assert sorted(masks.lt_min[2]) == [1, 2, 5, 9, 10]
+    state = initial_state(ext, cls)
+    assert state.eq_rows == (2, 4, 5, 6) and state.lt_rows == (7, 8, 10)
+    assert state.ext is ext
+    assert state.ext.maximal(2, 1) == fracs(1, "0.57", 1, 1, 1, 1, 1, 1, 1, 1)
+    assert state.anchor_dom == {7: (1, 3, 4, 6, 9, 10), 8: (1, 2, 4, 5, 7, 9), 10: (1, 2, 5, 9)}
+    # rule 3 reads the anchored minimal at the anchor column: always b_i
+    assert {ext.min_anchor[7, j][j - 1] for j in state.anchor_dom[7]} == {frac("0.55")}
 
-
-def test_masks_empty_when_no_lt_rows():
     inst = load_instance({"A": [["0.9"]], "b": ["0.5"], "c": ["1"]})
     cls, ext, _ = _pipeline(inst)
-    masks = build_masks(ext, cls, inst.b)
-    assert masks.lt_rows == () and masks.lt_min == () and masks.eq_rows == ()
+    state = initial_state(ext, cls)
+    assert state.eq_rows == () and state.lt_rows == ()
+    assert state.eq_dom == state.lt_dom == state.anchor_dom == {}
 
 
 def test_demo_trace_and_snapshots(demo10):
@@ -93,7 +90,7 @@ def test_demo_final_domains(demo10):
 
 def test_demo_anchor_domains_after_rule3(demo10):
     cls, ext, bounds = _pipeline(demo10)
-    state = initial_state(build_masks(ext, cls, demo10.b), cls)
+    state = initial_state(ext, cls)
     apply_bound_rules(state, bounds)
     apply_minimal_rule3(state, bounds)
     assert state.anchor_dom == {7: (1, 4, 6, 10), 8: (1, 2, 4, 5, 7), 10: (1, 2, 5)}
@@ -102,7 +99,15 @@ def test_demo_anchor_domains_after_rule3(demo10):
 def test_trace_replay_reproduces_domains(demo10):
     cls, ext, bounds = _pipeline(demo10)
     state = reduce_domains(demo10, cls, ext, bounds)
-    replayed = replay_trace(build_masks(ext, cls, demo10.b), cls, state.trace)
+    replayed = initial_state(ext, cls)
+    for event in state.trace:
+        if event.rule in (1, 4):
+            dom = replayed.eq_dom
+        elif event.rule in (2, 5):
+            dom = replayed.lt_dom
+        else:
+            dom = replayed.anchor_dom
+        dom[event.target] = tuple(v for v in dom[event.target] if v != event.removed)
     assert replayed.eq_dom == state.eq_dom
     assert replayed.lt_dom == state.lt_dom
     assert replayed.anchor_dom == state.anchor_dom
@@ -147,7 +152,7 @@ def test_variant_exhaustion_verdicts_with_synthetic_bounds():
     fake = BoundVectors(
         lower_gt=fracs("0.9", "0.9"), upper_gt=fracs(1, 1), lower_eq=fracs(0, 0)
     )
-    state = apply_bound_rules(initial_state(build_masks(ext, cls, inst.b), cls), fake)
+    state = apply_bound_rules(initial_state(ext, cls), fake)
     assert state.infeasible is not None and state.infeasible.cause == CAUSE_EQ_VARIANTS
     assert state.eq_dom[1] == ()
 
@@ -155,7 +160,7 @@ def test_variant_exhaustion_verdicts_with_synthetic_bounds():
         {"A": [["0.1", "0.6"], ["0.1", "0.9"]], "b": ["0.5", "0.2"], "c": ["1", "1"]}
     )
     cls2, ext2, _ = _pipeline(inst2)
-    state2 = apply_bound_rules(initial_state(build_masks(ext2, cls2, inst2.b), cls2), fake)
+    state2 = apply_bound_rules(initial_state(ext2, cls2), fake)
     assert state2.infeasible is not None and state2.infeasible.cause == CAUSE_LT_VARIANTS
 
 

@@ -23,11 +23,11 @@ from maxminfre import (
 from maxminfre.exact import ONE, ZERO
 from maxminfre.extremals import BoundVectors, Cell
 from maxminfre.generate import random_fre_doc, random_graph_edges
+from maxminfre.oracle import specialized_cover
 from maxminfre.reduction import (
     CAUSE_BOUND_CROSSING,
     CAUSE_EMPTY_SUPPORT,
     CAUSE_NO_TRIPLE,
-    build_masks,
     initial_state,
     reduce_domains,
 )
@@ -104,7 +104,7 @@ def test_enumeration_streams_in_lexicographic_order(demo10):
 def test_enumeration_matches_cross_product_filter(inst):
     cls, ext, bounds = _prep(inst)
     assume(not cls.empty_support)
-    state = initial_state(build_masks(ext, cls, inst.b), cls)
+    state = initial_state(ext, cls)
     total = 1
     for dom in (
         [cls.support[i] for i in cls.diag_lt]
@@ -205,7 +205,9 @@ def test_region_demo_single_cell(demo10):
 
 def test_region_without_dedup_keeps_every_box(demo10):
     cells = feasible_region(demo10, dedup=False)
-    assert len(cells) == 8
+    admissible, _, distinct, _ = _stream_scan(demo10)
+    assert cells == distinct
+    assert len(cells) == 2 and admissible == 8
     kept = feasible_region(demo10)
     assert all(any(k.dominates(c) for k in kept) for c in cells)
 
@@ -240,8 +242,8 @@ def test_binary_coefficients_give_binary_optimum():
 
 
 def _stream_scan(inst):
-    """Reference: (admissible, best candidate, dedup region) from a scan over
-    every triple of the plain lex stream, without merging boxes."""
+    """Reference: (admissible, best candidate, distinct boxes, dedup region)
+    from a scan over every triple of the plain lex stream, without merging."""
     cls, ext, bounds = _prep(inst)
     stream = []
     if gate_feasibility(inst, cls, bounds) is None:
@@ -260,7 +262,8 @@ def _stream_scan(inst):
             best = cand
         if not any(kept.dominates(cell) for kept in region):
             region = [kept for kept in region if not cell.dominates(kept)] + [cell]
-    return len(stream), best, region
+    distinct = list(dict.fromkeys(cell for _, cell in stream))
+    return len(stream), best, distinct, region
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
@@ -269,11 +272,12 @@ def test_frontier_matches_stream_scan(n, sense):
     feasible = 0
     for seed in range(40):
         inst = load_instance(random_fre_doc(n, 0.7, seed, sense=sense, b_cap=0.3))
-        admissible, best, region = _stream_scan(inst)
+        admissible, best, distinct, region = _stream_scan(inst)
         sol = solve(inst)
         assert sol.statistics.admissible == admissible
         assert sol.candidate == best
         assert feasible_region(inst) == region
+        assert feasible_region(inst, dedup=False) == distinct
         feasible += sol.optimal
     assert feasible >= 10
 
@@ -283,10 +287,14 @@ def test_seed10_merges_every_triple_into_one_box():
     sol = solve(inst)
     assert sol.optimal and sol.statistics.admissible == 73920
     assert len(feasible_region(inst)) == 1
+    assert len(feasible_region(inst, dedup=False)) == 1
 
 
 def test_cover_general_agrees_with_specialized_up_to_16():
     for n in range(1, 17):
         g = make_graph(n, random_graph_edges(n, 0.3, seed=n))
-        result = solve_cover(g, specialized=True)  # raises on any disagreement
+        result = solve_cover(g)
+        x, assignment = specialized_cover(g)
+        assert result.x_star == x
+        assert result.solution.candidate.triple.eq_choices == assignment
         assert verify_structure(result, g).ok

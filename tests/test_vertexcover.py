@@ -13,7 +13,7 @@ from maxminfre import (
 from maxminfre.exact import ONE, ZERO
 from maxminfre.extremals import classify_rows, extremal_solutions
 from maxminfre.generate import random_graph_edges
-from maxminfre.oracle import brute_force_cover
+from maxminfre.oracle import brute_force_cover, specialized_cover
 from maxminfre.vertexcover import GraphError, graph_to_doc, parse_graph
 
 from .conftest import fracs
@@ -110,9 +110,10 @@ def test_triangle_has_single_variant_2():
 
 def test_specialized_agrees_on_examples():
     for g in (TRIANGLE, PATH3, EDGE, make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])):
-        plain = solve_cover(g)
-        special = solve_cover(g, specialized=True)
-        assert plain.cover == special.cover and plain.selector == special.selector
+        result = solve_cover(g)
+        x, assignment = specialized_cover(g)
+        assert result.x_star == x
+        assert result.solution.candidate.triple.eq_choices == assignment
 
 
 def test_structure_report_passes_on_examples():
@@ -154,6 +155,7 @@ def test_cover_covers_and_complement_independent(g):
 
 @given(graphs(max_n=7))
 def test_specialized_matches_general(g):
-    plain = solve_cover(g)
-    special = solve_cover(g, specialized=True)
-    assert plain.x_star == special.x_star and plain.cover == special.cover
+    result = solve_cover(g)
+    x, assignment = specialized_cover(g)
+    assert result.x_star == x
+    assert result.solution.candidate.triple.eq_choices == assignment
