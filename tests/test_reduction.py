@@ -54,7 +54,8 @@ def _admissible(inst, cls, ext, bounds, anchors, eqs, lts):
     return not cell_of(bounds, sel).is_empty
 
 
-def test_initial_state_rows_and_domains(demo10):
+def test_demo_masks(demo10):
+    """Row tuples and initial domains on demo10; the extremal vectors come from ext."""
     cls, ext, _ = _pipeline(demo10)
     state = initial_state(ext, cls)
     assert state.eq_rows == (2, 4, 5, 6) and state.lt_rows == (7, 8, 10)
@@ -64,6 +65,9 @@ def test_initial_state_rows_and_domains(demo10):
     # rule 3 reads the anchored minimal at the anchor column: always b_i
     assert {ext.min_anchor[7, j][j - 1] for j in state.anchor_dom[7]} == {frac("0.55")}
 
+
+def test_masks_empty_when_no_lt_rows():
+    """A 1x1 instance has no eq or lt rows, so every initial domain is empty."""
     inst = load_instance({"A": [["0.9"]], "b": ["0.5"], "c": ["1"]})
     cls, ext, _ = _pipeline(inst)
     state = initial_state(ext, cls)
