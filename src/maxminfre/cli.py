@@ -242,7 +242,8 @@ def cmd_vc(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    text = open(args.path, encoding="utf-8").read()
+    with open(args.path, encoding="utf-8") as fh:
+        text = fh.read()
     if not text.lstrip().startswith("{") or "adjacency" in text:
         graph = load_graph(text)
         oracle = brute_force_cover(graph)

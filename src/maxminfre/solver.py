@@ -19,19 +19,31 @@ ascending, reaches every state first through its lex-smallest prefix, by
 induction over the levels: a prefix through parent state R is no smaller
 than R's lex-first prefix extended by the same value, and those extensions
 are generated in lex order.  So the merged boxes come in stream order, their
-multiplicities sum to the admissible count, and a strict-improvement scan
-keeps the lex-smallest triple among equal objectives.
+multiplicities sum to the admissible count, and the first box of best
+objective carries the lex-smallest triple among equal objectives.
+
+The merged walk runs on grid ranks, not on ``Fraction``s.  Every component
+of every extremal vector and of the root box lies on the finite grid
+{0, 1} union {b_i} (see ``oracle``), and the min and max of grid values are
+again grid values, so mapping each value to its index in the sorted grid is
+an order isomorphism: every cut, every merge and the frontier keys are the
+same on ranks as on values.  A value off the grid would break that argument,
+so it raises ``KeyError`` instead of being rounded.  Each box is scored from
+a table of c_j * grid[r] multiplied by one positive common multiple of the
+denominators, which makes every entry an integer and keeps the order of
+objectives exact; only the winning box and the returned region boxes are
+decoded back to values.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import ZERO, Vec
+from .exact import ONE, ZERO, Vec
 from .extremals import (
     BoundVectors,
     Cell,
@@ -199,12 +211,27 @@ def enumerate_admissible(
                 stack.append((box, chosen + (value,)))
 
 
-def _frontier(state: ReductionState, bounds: BoundVectors, ext: ExtremalSet) -> dict:
-    """(lower, upper) -> [multiplicity, lex-first triple as a backwards
-    (value, parent) chain] for every distinct nonempty box, in stream order."""
+def _grid(inst: Instance) -> tuple[Fraction, ...]:
+    return tuple(sorted({ZERO, ONE, *inst.b}))
+
+
+def _frontier(
+    grid: tuple[Fraction, ...], state: ReductionState, bounds: BoundVectors, ext: ExtremalSet
+) -> dict:
+    """(lower, upper) as grid ranks -> [multiplicity, lex-first triple as a
+    backwards (value, parent) chain] for every distinct nonempty box, in
+    stream order."""
+    # keyed on (numerator, denominator), which identifies a Fraction exactly
+    # and hashes without Fraction.__hash__'s modular inverse
+    rank = {value.as_integer_ratio(): r for r, value in enumerate(grid)}
+
+    def ranks(vec: Vec) -> tuple[int, ...]:
+        return tuple(rank[v.as_integer_ratio()] for v in vec)  # KeyError off the grid
+
     root = _root(bounds)
-    frontier = {} if root is None else {root: [1, None]}
+    frontier = {} if root is None else {(ranks(root[0]), ranks(root[1])): [1, None]}
     for raises_lower, options in _levels(state, ext):
+        options = [(value, ranks(vec)) for value, vec in options]
         merged: dict = {}
         for (lower, upper), (count, chain) in frontier.items():
             for value, vec in options:
@@ -213,6 +240,10 @@ def _frontier(state: ReductionState, bounds: BoundVectors, ext: ExtremalSet) -> 
                     merged.setdefault(box, [0, (value, chain)])[0] += count
         frontier = merged
     return frontier
+
+
+def _decode(grid: tuple[Fraction, ...], lower, upper) -> Cell:
+    return Cell(tuple(grid[r] for r in lower), tuple(grid[r] for r in upper))
 
 
 def _choices(chain) -> tuple[int, ...]:
@@ -236,8 +267,26 @@ def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
     return Candidate(triple=triple, cell=cell, x=x, objective=objective)
 
 
-def _better(sense: str, challenger: Fraction, incumbent: Fraction) -> bool:
-    return challenger < incumbent if sense == "min" else challenger > incumbent
+def _scorer(grid: tuple[Fraction, ...], c: Vec, sense: str):
+    """Exact objective of a ranked box as an int, smaller is better: the box
+    picks its bounds as ``make_candidate`` does, and each c_j * grid[r] is
+    multiplied by the lcm of the c denominators times the lcm of the grid
+    denominators, which makes it an integer (negated for max)."""
+    c_scale = math.lcm(*(cj.denominator for cj in c))
+    g_scale = math.lcm(*(value.denominator for value in grid))
+    grid_ints = [value.numerator * (g_scale // value.denominator) for value in grid]
+    sign = 1 if sense == "min" else -1
+    take_lower_on_nonneg = sense == "min"
+    picks = []
+    for j, cj in enumerate(c):
+        weight = sign * cj.numerator * (c_scale // cj.denominator)
+        side = 0 if (cj >= ZERO) == take_lower_on_nonneg else 1
+        picks.append((j, side, [weight * g for g in grid_ints]))
+
+    def score(box) -> int:
+        return sum(table[box[side][j]] for j, side, table in picks)
+
+    return score
 
 
 def _prepare(inst: Instance, use_rules: bool):
@@ -263,22 +312,21 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
         stats = _stats(state) if state is not None else _EMPTY_STATS
         return Solution("infeasible", None, infeasible, stats)
 
-    frontier = _frontier(state, bounds, ext)
-    best: Candidate | None = None
-    best_chain = None
-    for (lower, upper), (_, chain) in frontier.items():
-        cand = make_candidate(None, Cell(lower, upper), inst.c, inst.sense)
-        if best is None or _better(inst.sense, cand.objective, best.objective):
-            best, best_chain = cand, chain
-
+    grid = _grid(inst)
+    frontier = _frontier(grid, state, bounds, ext)
     stats = _stats(
         state,
         admissible=sum(count for count, _ in frontier.values()),
         enumerated=math.prod(state.cardinalities()),
     )
-    if best is None:
+    if not frontier:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
-    best = replace(best, triple=_triple(state, _choices(best_chain)))
+    score = _scorer(grid, inst.c, inst.sense)
+    # min keeps the first of equal scores: the lex-first triple wins ties
+    box, (_, chain) = min(frontier.items(), key=lambda item: score(item[0]))
+    best = make_candidate(
+        _triple(state, _choices(chain)), _decode(grid, *box), inst.c, inst.sense
+    )
     return Solution("optimal", best, None, stats)
 
 
@@ -292,13 +340,15 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
     cls, ext, bounds, state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
         return []
-    cells = [Cell(lower, upper) for lower, upper in _frontier(state, bounds, ext)]
-    if not dedup:
-        return cells
-    kept: list[Cell] = []
-    for cell in cells:
-        if any(other.dominates(cell) for other in kept):
-            continue
-        kept = [other for other in kept if not cell.dominates(other)]
-        kept.append(cell)
-    return kept
+    grid = _grid(inst)
+    # Cells over ranks until the end: dominance is the same on ranks
+    cells = [Cell(lower, upper) for lower, upper in _frontier(grid, state, bounds, ext)]
+    if dedup:
+        kept: list[Cell] = []
+        for cell in cells:
+            if any(other.dominates(cell) for other in kept):
+                continue
+            kept = [other for other in kept if not cell.dominates(other)]
+            kept.append(cell)
+        cells = kept
+    return [_decode(grid, cell.lower, cell.upper) for cell in cells]

@@ -51,6 +51,10 @@ def make_graph(n: int, edges) -> Graph:
 
 
 def graph_from_adjacency(matrix) -> Graph:
+    if not isinstance(matrix, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in matrix
+    ):
+        raise GraphError("adjacency must be a matrix: an array of row arrays")
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise GraphError("adjacency matrix must be square and nonempty")
@@ -80,10 +84,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"invalid JSON graph: {exc}") from exc
         if "adjacency" not in doc:
             raise GraphError('JSON graph must contain an "adjacency" matrix')
-        try:
-            return graph_from_adjacency(doc["adjacency"])
-        except TypeError as exc:
-            raise GraphError(f"adjacency must be a matrix of 0/1 entries: {exc}") from exc
+        return graph_from_adjacency(doc["adjacency"])
     n = None
     declared_edges = None
     edges = []

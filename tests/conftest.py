@@ -134,3 +134,41 @@ def instance_with_point(draw, max_n: int = 4):
     inst = draw(instances(max_n=max_n))
     x = tuple(draw(grid_entry) for _ in range(inst.n))
     return inst, x
+
+
+# 1-4 decimal places: targets in [0, 1], costs of magnitude 0.0001 to 99.9,
+# so the objectives of two boxes can be closer than any fixed number of places.
+fine_unit_entry = st.integers(1, 4).flatmap(
+    lambda p: st.integers(0, 10**p).map(lambda k: Fraction(k, 10**p))
+)
+fine_cost_entry = st.integers(1, 4).flatmap(
+    lambda p: st.integers(-999, 999).map(lambda k: Fraction(k, 10**p))
+)
+
+
+@st.composite
+def fine_instances(draw, max_n: int = 4) -> Instance:
+    """Instances over ``fine_unit_entry``/``fine_cost_entry``; A reuses the
+    targets often enough for diag_eq rows and equal supports, and the cost
+    vector is sometimes all zero or one repeated value, so boxes tie."""
+    n = draw(st.integers(1, max_n))
+    b = tuple(draw(fine_unit_entry) for _ in range(n))
+    entry = st.one_of(st.sampled_from(b), fine_unit_entry)
+    A = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    kind = draw(st.sampled_from(["free", "zero", "repeated"]))
+    if kind == "zero":
+        c = (Fraction(0),) * n
+    elif kind == "repeated":
+        c = (draw(fine_cost_entry),) * n
+    else:
+        c = tuple(draw(fine_cost_entry) for _ in range(n))
+    return Instance(n=n, A=A, b=b, c=c, sense=draw(st.sampled_from(["min", "max"])))
+
+
+# Arbitrary JSON values, for the loader fuzz properties.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from maxminfre import (
     InstanceError,
@@ -14,8 +15,16 @@ from maxminfre import (
     squarify,
 )
 from maxminfre.exact import ZERO
+from maxminfre.model import instance_from_doc
 
-from .conftest import DEMO_OPTIMUM, frac, fracs, instance_with_point, instances
+from .conftest import (
+    DEMO_OPTIMUM,
+    frac,
+    fracs,
+    instance_with_point,
+    instances,
+    json_values,
+)
 
 
 def test_load_smallest_instance():
@@ -215,3 +224,27 @@ def test_membership_invariant_under_reparse(pair):
     inst, x = pair
     again = load_instance(instance_to_doc(inst))
     assert check_membership(again, x) == check_membership(inst, x)
+
+
+_scalar_like = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "1.5", "-0.25", "1/3", "1/0", "", "x"]),
+    st.integers(-2, 2),
+    st.floats(),
+    json_values,
+)
+_shaped_docs = st.fixed_dictionaries(
+    {
+        "A": st.lists(st.lists(_scalar_like, max_size=3), max_size=3) | json_values,
+        "b": st.lists(_scalar_like, max_size=3) | json_values,
+        "c": st.lists(_scalar_like, max_size=3) | json_values,
+    },
+    optional={"sense": st.sampled_from(["min", "MAX", "maximize", "up"]) | json_values},
+)
+
+
+@given(st.one_of(json_values, _shaped_docs))
+def test_instance_from_doc_raises_only_instance_errors(doc):
+    try:
+        instance_from_doc(doc)
+    except InstanceError:
+        pass

@@ -39,6 +39,7 @@ from .conftest import (
     DEMO_REGION_LOWER,
     DEMO_REGION_UPPER,
     RULES_BLIND_INFEASIBLE,
+    fine_instances,
     frac,
     fracs,
     instances,
@@ -280,6 +281,27 @@ def test_frontier_matches_stream_scan(n, sense):
         assert feasible_region(inst, dedup=False) == distinct
         feasible += sol.optimal
     assert feasible >= 10
+
+
+@given(fine_instances(max_n=5))
+def test_integer_objective_matches_stream_scan(inst):
+    admissible, best, distinct, region = _stream_scan(inst)
+    sol = solve(inst)
+    assert sol.statistics.admissible == admissible
+    assert sol.candidate == best
+    assert feasible_region(inst) == region
+    assert feasible_region(inst, dedup=False) == distinct
+
+
+def test_value_off_the_grid_fails_loudly(demo10, monkeypatch):
+    import maxminfre.solver as solver
+
+    on_grid = solver._grid(demo10)
+    monkeypatch.setattr(solver, "_grid", lambda inst: on_grid[:1] + on_grid[2:])
+    with pytest.raises(KeyError):
+        solve(demo10)
+    with pytest.raises(KeyError):
+        feasible_region(demo10)
 
 
 def test_seed10_merges_every_triple_into_one_box():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -16,7 +18,7 @@ from maxminfre.generate import random_graph_edges
 from maxminfre.oracle import brute_force_cover, specialized_cover
 from maxminfre.vertexcover import GraphError, graph_to_doc, parse_graph
 
-from .conftest import fracs
+from .conftest import fracs, json_values
 
 TRIANGLE = make_graph(3, [(1, 2), (2, 3), (1, 3)])
 PATH3 = make_graph(3, [(1, 2), (2, 3)])
@@ -59,6 +61,8 @@ def test_parse_json_adjacency():
         ('{"adjacency": [[0, 1], [0, 0]]}', "symmetric"),
         ('{"adjacency": [[1]]}', "self-loop"),
         ('{"adjacency": 5}', "matrix"),
+        ('{"adjacency": {"ab": 1, "cd": 2}}', "row arrays"),
+        ('{"adjacency": [{"a": 1}]}', "row arrays"),
     ],
 )
 def test_parse_rejects_malformed(text, match):
@@ -159,3 +163,23 @@ def test_specialized_matches_general(g):
     x, assignment = specialized_cover(g)
     assert result.x_star == x
     assert result.solution.candidate.triple.eq_choices == assignment
+
+
+_edge_list_text = st.lists(
+    st.sampled_from(["p", "e", "c", " ", "\n", "0", "1", "2", "3", "-1", "99", "x"])
+).map("".join)
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text().map(lambda t: "{" + t),
+        _edge_list_text,
+        json_values.map(lambda v: json.dumps({"adjacency": v})),
+    )
+)
+def test_parse_graph_raises_only_graph_errors(text):
+    try:
+        parse_graph(text)
+    except GraphError:
+        pass
