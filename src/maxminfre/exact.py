@@ -9,12 +9,22 @@ strings without loss.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
+from typing import Iterable
 
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Largest |exponent| a decimal string may write.  Parsing builds 10**exponent,
+# so the written exponent is checked first.  The limit is far beyond any float
+# (1e308, 5e-324) and well below the 4300 digits past which Python refuses to
+# turn an int into text, which rendering a result needs.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def parse_scalar(value) -> Fraction:
@@ -26,14 +36,54 @@ def parse_scalar(value) -> Fraction:
     """
     if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
         raise ValueError(f"not a numeric scalar: {value!r}")
+    text = repr(value) if isinstance(value, float) else value
+    if isinstance(text, str):
+        _check_exponent(text)
     try:
-        parsed = Fraction(repr(value) if isinstance(value, float) else value)
+        parsed = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a decimal scalar: {value!r}") from exc
+        raise ValueError(f"not a decimal scalar: {quoted(text)}") from exc
     d = parsed.denominator
     if pow(10, d.bit_length(), d):  # d | 10^bit_length(d) iff d = 2^a * 5^b
         raise ValueError(f"{value!r} has no finite decimal form")
     return parsed
+
+
+def _check_exponent(text: str) -> None:
+    """Reject a written exponent beyond MAX_EXPONENT before 10**exponent is
+    built; the digits are compared as text, so a huge exponent costs nothing."""
+    match = _EXPONENT.search(text)
+    if match is None:
+        return
+    digits = match.group(1).replace("_", "").lstrip("0")
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+        raise ValueError(f"{quoted(text)} has an exponent beyond +-{MAX_EXPONENT}")
+
+
+def quoted(text) -> str:
+    """repr of an input value, cut short when it is a long string."""
+    return repr(text if not isinstance(text, str) or len(text) <= 40 else text[:37] + "...")
+
+
+def rank_table(values: Iterable[Fraction]) -> dict[tuple[int, int], int]:
+    """Rank of every distinct value in ascending order, keyed on
+    ``value.as_integer_ratio()``.
+
+    The key identifies a Fraction exactly and hashes without
+    Fraction.__hash__'s modular inverse.  The values are ordered on the
+    integers p * (L // q), L the lcm of the denominators, which is the same
+    order as p / q without a single Fraction compare.  Comparing ranks is
+    therefore comparing the values exactly.
+    """
+    ratios = set([value.as_integer_ratio() for value in values])
+    scale = math.lcm(*(q for _, q in ratios))
+    ordered = sorted(ratios, key=lambda pq: pq[0] * (scale // pq[1]))
+    return {pq: r for r, pq in enumerate(ordered)}
+
+
+def ranked(table: dict[tuple[int, int], int], vec: Vec) -> tuple[int, ...]:
+    """The ranks of a vector's values; KeyError for a value off the table."""
+    return tuple([table[v.as_integer_ratio()] for v in vec])
 
 
 def _pow10_exponent(denominator: int) -> int:

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
-from .exact import ONE, ZERO, Vec
+from .exact import ONE, ZERO, Vec, rank_table, ranked
 from .model import Instance
 
 VARIANTS = (1, 2)
@@ -51,17 +53,18 @@ class RowClassification:
 
 
 def classify_rows(inst: Instance) -> RowClassification:
+    """Compare every a_ij with b_i on ranks over the distinct values of A and b."""
+    table = rank_table(chain(inst.b, *inst.A))
     support: dict[int, tuple[int, ...]] = {}
     strict: dict[int, tuple[int, ...]] = {}
     equal: dict[int, tuple[int, ...]] = {}
     diag_gt, diag_eq, diag_lt = [], [], []
     empty = []
-    for i in inst.rows:
-        row = inst.A[i - 1]
-        target = inst.b[i - 1]
-        strict[i] = tuple(j for j in inst.rows if row[j - 1] > target)
-        equal[i] = tuple(j for j in inst.rows if row[j - 1] == target)
-        support[i] = tuple(sorted(strict[i] + equal[i]))
+    for i, target in zip(inst.rows, ranked(table, inst.b)):
+        row = ranked(table, inst.A[i - 1])
+        strict[i] = tuple(j for j, r in enumerate(row, start=1) if r > target)
+        equal[i] = tuple(j for j, r in enumerate(row, start=1) if r == target)
+        support[i] = tuple(j for j, r in enumerate(row, start=1) if r >= target)
         if not support[i]:
             empty.append(i)
         diag = row[i - 1]
@@ -97,12 +100,12 @@ class ExtremalSet:
         return self.max_pin[i] if variant == 1 else self.max_cap[i]
 
 
-def _pin_vector(n: int, i: int, value: Fraction) -> Vec:
-    return tuple(value if j == i else ONE for j in range(1, n + 1))
-
-
-def _unit_vector(n: int, i: int, value: Fraction) -> Vec:
-    return tuple(value if j == i else ZERO for j in range(1, n + 1))
+def _vector(n: int, fill: Fraction, value: Fraction, coords) -> Vec:
+    """``fill`` everywhere except ``value`` at the 1-based ``coords``."""
+    vec = [fill] * n
+    for j in coords:
+        vec[j - 1] = value
+    return tuple(vec)
 
 
 def extremal_solutions(inst: Instance, cls: RowClassification) -> ExtremalSet:
@@ -114,20 +117,19 @@ def extremal_solutions(inst: Instance, cls: RowClassification) -> ExtremalSet:
     min_anchor: dict[tuple[int, int], Vec] = {}
     for i in cls.diag_gt:
         target = inst.b[i - 1]
-        row_max[i] = _pin_vector(n, i, target)
-        row_min[i] = _unit_vector(n, i, target)
+        row_max[i] = _vector(n, ONE, target, (i,))
+        row_min[i] = _vector(n, ZERO, target, (i,))
+    for i in cls.diag_eq:
+        target = inst.b[i - 1]
+        row_min[i] = _vector(n, ZERO, target, (i,))
     for i in cls.diag_eq + cls.diag_lt:
         target = inst.b[i - 1]
-        strict = set(cls.support_strict[i])
-        max_pin[i] = _pin_vector(n, i, target)
-        max_cap[i] = tuple(target if j in strict else ONE for j in range(1, n + 1))
-        if i in cls.diag_eq:
-            row_min[i] = _unit_vector(n, i, target)
-        else:
-            for j in cls.support[i]:
-                min_anchor[i, j] = tuple(
-                    target if k in (i, j) else ZERO for k in range(1, n + 1)
-                )
+        max_pin[i] = _vector(n, ONE, target, (i,))
+        max_cap[i] = _vector(n, ONE, target, cls.support_strict[i])
+    for i in cls.diag_lt:
+        target = inst.b[i - 1]
+        for j in cls.support[i]:
+            min_anchor[i, j] = _vector(n, ZERO, target, (i, j))
     return ExtremalSet(row_max, row_min, max_pin, max_cap, min_anchor)
 
 
@@ -143,20 +145,24 @@ class BoundVectors:
     upper_gt: Vec  # min of diag_gt maximums
     lower_eq: Vec  # max of diag_eq minimums
 
-    @property
+    @cached_property
     def lower(self) -> Vec:
         """The combined lower bound every box starts from."""
         return vec_max(self.lower_gt, self.lower_eq)
 
 
 def aggregate_bounds(ext: ExtremalSet, cls: RowClassification) -> BoundVectors:
-    n = cls.n
-    zeros = (ZERO,) * n
-    ones = (ONE,) * n
-    lower_gt = vec_max(zeros, *(ext.row_min[i] for i in cls.diag_gt)) if cls.diag_gt else zeros
-    upper_gt = vec_min(ones, *(ext.row_max[i] for i in cls.diag_gt)) if cls.diag_gt else ones
-    lower_eq = vec_max(zeros, *(ext.row_min[i] for i in cls.diag_eq)) if cls.diag_eq else zeros
-    return BoundVectors(lower_gt=lower_gt, upper_gt=upper_gt, lower_eq=lower_eq)
+    """Each diag_gt/diag_eq row_min and row_max differs from 0 or 1 only at
+    the row's own coordinate, so every aggregate component is read there."""
+    lower_gt, upper_gt, lower_eq = [ZERO] * cls.n, [ONE] * cls.n, [ZERO] * cls.n
+    for i in cls.diag_gt:
+        lower_gt[i - 1] = ext.row_min[i][i - 1]
+        upper_gt[i - 1] = ext.row_max[i][i - 1]
+    for i in cls.diag_eq:
+        lower_eq[i - 1] = ext.row_min[i][i - 1]
+    return BoundVectors(
+        lower_gt=tuple(lower_gt), upper_gt=tuple(upper_gt), lower_eq=tuple(lower_eq)
+    )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ZERO, Vec, decimal_str, parse_scalar
+from .exact import ZERO, Vec, decimal_str, parse_scalar, quoted
 
 
 class InstanceError(ValueError):
@@ -82,7 +82,7 @@ def _scalar(value, what: str, unit: bool = True) -> Fraction:
         raise InstanceError(f"{what}: {exc}") from exc
     # 0 <= p/q <= 1 on the ints, which is much cheaper than Fraction compares
     if unit and not 0 <= parsed.numerator <= parsed.denominator:
-        raise InstanceError(f"{what} = {decimal_str(parsed)} outside [0, 1]")
+        raise InstanceError(f"{what} = {quoted(value)} outside [0, 1]")
     return parsed
 
 
@@ -106,11 +106,29 @@ def instance_from_doc(doc: dict) -> Instance:
     if sense is None:
         raise InstanceError(f"sense must be min or max, got {doc.get('sense')!r}")
 
+    # Each distinct string of A and b is parsed once.  The memo is keyed on the
+    # exact str, never on a value (True == 1 == Fraction(1) hash alike), and
+    # holds only accepted values, so a miss reports its own field.  c has no
+    # [0, 1] check, so it keeps its own parse.
+    memo: dict[str, Fraction] = {}
+
+    def unit(value, what: str) -> Fraction:
+        parsed = _scalar(value, what)
+        if type(value) is str:
+            memo[value] = parsed
+        return parsed
+
     A = [
-        [_scalar(v, f"A[{i}][{j}]") for j, v in enumerate(row, start=1)]
+        [
+            memo[v] if type(v) is str and v in memo else unit(v, f"A[{i}][{j}]")
+            for j, v in enumerate(row, start=1)
+        ]
         for i, row in enumerate(doc["A"], start=1)
     ]
-    b = [_scalar(v, f"b[{i}]") for i, v in enumerate(doc["b"], start=1)]
+    b = [
+        memo[v] if type(v) is str and v in memo else unit(v, f"b[{i}]")
+        for i, v in enumerate(doc["b"], start=1)
+    ]
     c = [_scalar(v, f"c[{j}]", unit=False) for j, v in enumerate(doc["c"], start=1)]
 
     m = len(A)
@@ -148,7 +166,8 @@ def load_instance(source) -> Instance:
         except OSError as exc:
             raise InstanceError(f"cannot read instance file: {exc}") from exc
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        # numbers stay text, so that they get the field-naming checks of strings
+        doc = json.loads(text, parse_float=str, parse_int=str)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"invalid JSON: {exc}") from exc
     return instance_from_doc(doc)

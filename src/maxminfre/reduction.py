@@ -22,14 +22,15 @@ Rule summary (targets in parentheses):
 
 Rules fire in a single pass each, in ascending index order, following the
 solve pipeline: 1, 2, 3, then 4+5, then 6+7.  Emptied domains are recorded
-as infeasibility verdicts, never raised.
+as infeasibility verdicts, never raised.  Every rule compares integer ranks
+(``exact.rank_table``) of the values involved, never ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import Vec
+from .exact import Vec, rank_table, ranked
 from .extremals import BoundVectors, ExtremalSet, RowClassification
 from .model import Instance
 
@@ -67,14 +68,23 @@ class TraceEvent:
 @dataclass
 class ReductionState:
     ext: ExtremalSet  # the vectors that every selector value stands for
-    eq_rows: tuple[int, ...]  # diag_eq rows, ascending
-    lt_rows: tuple[int, ...]  # diag_lt rows, ascending
+    cls: RowClassification  # the row classes and supports the rules read
     eq_dom: dict[int, tuple[int, ...]]  # diag_eq row -> surviving variants
     lt_dom: dict[int, tuple[int, ...]]  # diag_lt row -> surviving variants
     anchor_dom: dict[int, tuple[int, ...]]  # diag_lt row -> surviving anchors
     trace: list[TraceEvent] = field(default_factory=list)
     snapshots: list[tuple[str, int, int, int]] = field(default_factory=list)
     infeasible: Infeasibility | None = None
+
+    @property
+    def eq_rows(self) -> tuple[int, ...]:
+        """diag_eq rows, ascending."""
+        return self.cls.diag_eq
+
+    @property
+    def lt_rows(self) -> tuple[int, ...]:
+        """diag_lt rows, ascending."""
+        return self.cls.diag_lt
 
     def cardinalities(self) -> tuple[int, int, int]:
         eq = lt = anchor = 1
@@ -89,21 +99,26 @@ class ReductionState:
     def snapshot(self, stage: str) -> None:
         self.snapshots.append((stage, *self.cardinalities()))
 
-    def _remove_variant(self, rule: int, family: str, row: int, variant: int, witness) -> None:
-        dom = self.eq_dom if family == "eq" else self.lt_dom
-        dom[row] = tuple(v for v in dom[row] if v != variant)
-        self.trace.append(TraceEvent(rule, row, variant, witness))
+    def _prune(self, rule: int, dom: dict, hits) -> None:
+        """Trace every (row, removed value, witness) hit of one rule in
+        order, then rebuild each hit row's domain tuple once.
 
-    def _remove_anchor(self, rule: int, row: int, column: int, witness) -> None:
-        self.anchor_dom[row] = tuple(j for j in self.anchor_dom[row] if j != column)
-        self.trace.append(TraceEvent(rule, row, column, witness))
+        This equals removing the values one by one as they are found: no
+        check of a rule reads a domain value that the same rule removes,
+        except the one check that removes it.
+        """
+        removed: dict[int, set[int]] = {}
+        for row, value, witness in hits:
+            removed.setdefault(row, set()).add(value)
+            self.trace.append(TraceEvent(rule, row, value, witness))
+        for row, values in removed.items():
+            dom[row] = tuple(v for v in dom[row] if v not in values)
 
 
 def initial_state(ext: ExtremalSet, cls: RowClassification) -> ReductionState:
     state = ReductionState(
         ext=ext,
-        eq_rows=cls.diag_eq,
-        lt_rows=cls.diag_lt,
+        cls=cls,
         eq_dom={i: (1, 2) for i in cls.diag_eq},
         lt_dom={i: (1, 2) for i in cls.diag_lt},
         anchor_dom={i: tuple(cls.support[i]) for i in cls.diag_lt},
@@ -134,18 +149,31 @@ def _anchor_exhaustion(state: ReductionState) -> None:
 
 
 def apply_bound_rules(state: ReductionState, bounds: BoundVectors) -> ReductionState:
-    """Rules 1 and 2: kill maximal variants crossed by the combined lower bound."""
-    lower = bounds.lower
-    for rule, family, rows, dom in (
-        (1, "eq", state.eq_rows, state.eq_dom),
-        (2, "lt", state.lt_rows, state.lt_dom),
-    ):
+    """Rules 1 and 2: kill maximal variants crossed by the combined lower bound.
+
+    A maximal differs from 1 only at its row (variant 1) or at the row's
+    strict support (variant 2), and no bound exceeds 1, so only those
+    coordinates can be crossed; they are scanned in ascending order, which
+    keeps the first crossing as the witness.  The values there are the row
+    targets, read from the variant-1 maximals.
+    """
+    ext, strict = state.ext, state.cls.support_strict
+    targets = tuple(ext.max_pin[i][i - 1] for i in state.eq_rows + state.lt_rows)
+    table = rank_table(bounds.lower + targets)
+    lower = ranked(table, bounds.lower)
+    for rule, dom, rows in ((1, state.eq_dom, state.eq_rows), (2, state.lt_dom, state.lt_rows)):
+        hits = []
         for row in rows:
             for variant in dom[row]:
-                vec = state.ext.maximal(row, variant)
-                hit = next((j for j in range(1, len(vec) + 1) if lower[j - 1] > vec[j - 1]), None)
+                vec = ext.maximal(row, variant)
+                coords = (row,) if variant == 1 else strict[row]
+                hit = next(
+                    (j for j in coords if lower[j - 1] > table[vec[j - 1].as_integer_ratio()]),
+                    None,
+                )
                 if hit is not None:
-                    state._remove_variant(rule, family, row, variant, (hit,))
+                    hits.append((row, variant, (hit,)))
+        state._prune(rule, dom, hits)
         state.snapshot(f"rule{rule}")
     _variant_exhaustion(state)
     return state
@@ -153,11 +181,16 @@ def apply_bound_rules(state: ReductionState, bounds: BoundVectors) -> ReductionS
 
 def apply_minimal_rule3(state: ReductionState, bounds: BoundVectors) -> ReductionState:
     """Rule 3: kill anchors whose minimal solution crosses the diag_gt upper bound."""
-    upper = bounds.upper_gt
-    for row in state.lt_rows:
-        for j in state.anchor_dom[row]:
-            if state.ext.min_anchor[row, j][j - 1] > upper[j - 1]:
-                state._remove_anchor(3, row, j, (j,))
+    pairs = [(row, j) for row in state.lt_rows for j in state.anchor_dom[row]]
+    values = tuple(state.ext.min_anchor[row, j][j - 1] for row, j in pairs)
+    table = rank_table(bounds.upper_gt + values)
+    upper = ranked(table, bounds.upper_gt)
+    hits = [
+        (row, j, (j,))
+        for (row, j), rank in zip(pairs, ranked(table, values))
+        if rank > upper[j - 1]
+    ]
+    state._prune(3, state.anchor_dom, hits)
     state.snapshot("rule3")
     _anchor_exhaustion(state)
     return state
@@ -165,25 +198,30 @@ def apply_minimal_rule3(state: ReductionState, bounds: BoundVectors) -> Reductio
 
 def apply_cross_rules(state: ReductionState, inst: Instance, cls: RowClassification) -> ReductionState:
     """Rules 4 and 5: a row whose capped target is strictly below another
-    row's anchored requirement cannot use its variant-2 maximal."""
-    for r in state.eq_rows:
-        if 2 not in state.eq_dom[r]:
-            continue
-        for s in state.lt_rows:
-            if inst.entry(r, s) > inst.b[r - 1] and inst.b[r - 1] < inst.b[s - 1]:
-                state._remove_variant(4, "eq", r, 2, (r, s))
-                break
-    state.snapshot("rule4")
-    for r in state.lt_rows:
-        if 2 not in state.lt_dom[r]:
-            continue
-        for s in state.lt_rows:
-            if r == s:
+    row's anchored requirement cannot use its variant-2 maximal.
+
+    a_rs > b_r is read as s in the strict support of r, which ascends like
+    the diag_lt rows, so the first witness is the same.
+    """
+    target = ranked(rank_table(inst.b), inst.b)
+    lt = set(state.lt_rows)
+    for rule, dom, rows in ((4, state.eq_dom, state.eq_rows), (5, state.lt_dom, state.lt_rows)):
+        hits = []
+        for r in rows:
+            if 2 not in dom[r]:
                 continue
-            if inst.entry(r, s) > inst.b[r - 1] and inst.b[r - 1] < inst.b[s - 1]:
-                state._remove_variant(5, "lt", r, 2, (r, s))
-                break
-    state.snapshot("rule5")
+            s = next(
+                (
+                    s
+                    for s in cls.support_strict[r]
+                    if s in lt and s != r and target[r - 1] < target[s - 1]
+                ),
+                None,
+            )
+            if s is not None:
+                hits.append((r, 2, (r, s)))
+        state._prune(rule, dom, hits)
+        state.snapshot(f"rule{rule}")
     _variant_exhaustion(state)
     return state
 
@@ -191,22 +229,17 @@ def apply_cross_rules(state: ReductionState, inst: Instance, cls: RowClassificat
 def apply_pinned_rules(state: ReductionState, cls: RowClassification, b: Vec) -> ReductionState:
     """Rules 6 and 7: a row pinned to variant 1 keeps its own coordinate at
     its target, so it cannot anchor a row with a strictly larger target."""
-    for r in state.eq_rows:
-        if state.eq_dom[r] != (1,):
-            continue
-        for s in state.lt_rows:
-            if r in state.anchor_dom[s] and b[r - 1] < b[s - 1]:
-                state._remove_anchor(6, s, r, (r, s))
-    state.snapshot("rule6")
-    for r in state.lt_rows:
-        if state.lt_dom[r] != (1,):
-            continue
-        for s in state.lt_rows:
-            if s == r:
-                continue
-            if r in state.anchor_dom[s] and b[r - 1] < b[s - 1]:
-                state._remove_anchor(7, s, r, (r, s))
-    state.snapshot("rule7")
+    target = ranked(rank_table(b), b)
+    for rule, dom, rows in ((6, state.eq_dom, state.eq_rows), (7, state.lt_dom, state.lt_rows)):
+        hits = [
+            (s, r, (r, s))
+            for r in rows
+            if dom[r] == (1,)
+            for s in state.lt_rows
+            if s != r and target[r - 1] < target[s - 1] and r in state.anchor_dom[s]
+        ]
+        state._prune(rule, state.anchor_dom, hits)
+        state.snapshot(f"rule{rule}")
     _anchor_exhaustion(state)
     return state
 
@@ -230,4 +263,3 @@ def reduce_domains(
         return state
     apply_pinned_rules(state, cls, inst.b)
     return state
-

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import ONE, ZERO, Vec
+from .exact import ONE, ZERO, Vec, rank_table, ranked
 from .extremals import (
     BoundVectors,
     Cell,
@@ -135,13 +135,10 @@ def gate_feasibility(
     """Cheap necessary conditions checked before any enumeration."""
     if cls.empty_support:
         return Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support)
-    lower = bounds.lower
-    if not vec_le(lower, bounds.upper_gt):
-        rows = tuple(
-            j for j in inst.rows if lower[j - 1] > bounds.upper_gt[j - 1]
-        )
-        return Infeasibility(CAUSE_BOUND_CROSSING, rows)
-    return None
+    table = rank_table(bounds.lower + bounds.upper_gt)
+    lower, upper = ranked(table, bounds.lower), ranked(table, bounds.upper_gt)
+    rows = tuple(j for j, lo, up in zip(inst.rows, lower, upper) if lo > up)
+    return Infeasibility(CAUSE_BOUND_CROSSING, rows) if rows else None
 
 
 def _stats(state: ReductionState, admissible: int = 0, enumerated: int = 0) -> Statistics:
@@ -221,17 +218,13 @@ def _frontier(
     """(lower, upper) as grid ranks -> [multiplicity, lex-first triple as a
     backwards (value, parent) chain] for every distinct nonempty box, in
     stream order."""
-    # keyed on (numerator, denominator), which identifies a Fraction exactly
-    # and hashes without Fraction.__hash__'s modular inverse
-    rank = {value.as_integer_ratio(): r for r, value in enumerate(grid)}
-
-    def ranks(vec: Vec) -> tuple[int, ...]:
-        return tuple(rank[v.as_integer_ratio()] for v in vec)  # KeyError off the grid
-
+    table = rank_table(grid)  # the rank of grid[r] is r
     root = _root(bounds)
-    frontier = {} if root is None else {(ranks(root[0]), ranks(root[1])): [1, None]}
+    frontier = {}
+    if root is not None:
+        frontier[ranked(table, root[0]), ranked(table, root[1])] = [1, None]
     for raises_lower, options in _levels(state, ext):
-        options = [(value, ranks(vec)) for value, vec in options]
+        options = [(value, ranked(table, vec)) for value, vec in options]
         merged: dict = {}
         for (lower, upper), (count, chain) in frontier.items():
             for value, vec in options:

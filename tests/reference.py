@@ -1,0 +1,180 @@
+"""Fraction-compare reference for the rank-based stages.
+
+These are the plain definitions that ``classify_rows``,
+``extremal_solutions``, ``aggregate_bounds``, ``gate_feasibility`` and the
+seven rules implement on integer ranks: every comparison is a ``Fraction``
+comparison, every vector is scanned in full, and every removal rebuilds its
+domain.  The differential tests compare the library against them.
+"""
+
+from __future__ import annotations
+
+from maxminfre.exact import ONE, ZERO
+from maxminfre.extremals import (
+    BoundVectors,
+    ExtremalSet,
+    RowClassification,
+    vec_le,
+    vec_max,
+    vec_min,
+)
+from maxminfre.reduction import (
+    CAUSE_ANCHORS,
+    CAUSE_BOUND_CROSSING,
+    CAUSE_EMPTY_SUPPORT,
+    CAUSE_EQ_VARIANTS,
+    CAUSE_LT_VARIANTS,
+    Infeasibility,
+    TraceEvent,
+)
+
+
+def classify_rows(inst) -> RowClassification:
+    support, strict, equal = {}, {}, {}
+    diag_gt, diag_eq, diag_lt, empty = [], [], [], []
+    for i in inst.rows:
+        row, target = inst.A[i - 1], inst.b[i - 1]
+        strict[i] = tuple(j for j in inst.rows if row[j - 1] > target)
+        equal[i] = tuple(j for j in inst.rows if row[j - 1] == target)
+        support[i] = tuple(sorted(strict[i] + equal[i]))
+        if not support[i]:
+            empty.append(i)
+        diag = row[i - 1]
+        (diag_gt if diag > target else diag_eq if diag == target else diag_lt).append(i)
+    return RowClassification(
+        inst.n, support, strict, equal, tuple(diag_gt), tuple(diag_eq), tuple(diag_lt), tuple(empty)
+    )
+
+
+def extremal_solutions(inst, cls) -> ExtremalSet:
+    n = inst.n
+    row_max, row_min, max_pin, max_cap, min_anchor = {}, {}, {}, {}, {}
+
+    def pin(i, value):
+        return tuple(value if j == i else ONE for j in range(1, n + 1))
+
+    def unit(i, value):
+        return tuple(value if j == i else ZERO for j in range(1, n + 1))
+
+    for i in cls.diag_gt:
+        row_max[i], row_min[i] = pin(i, inst.b[i - 1]), unit(i, inst.b[i - 1])
+    for i in cls.diag_eq + cls.diag_lt:
+        target = inst.b[i - 1]
+        max_pin[i] = pin(i, target)
+        max_cap[i] = tuple(
+            target if j in cls.support_strict[i] else ONE for j in range(1, n + 1)
+        )
+        if i in cls.diag_eq:
+            row_min[i] = unit(i, target)
+        else:
+            for j in cls.support[i]:
+                min_anchor[i, j] = tuple(target if k in (i, j) else ZERO for k in range(1, n + 1))
+    return ExtremalSet(row_max, row_min, max_pin, max_cap, min_anchor)
+
+
+def aggregate_bounds(ext, cls) -> BoundVectors:
+    zeros, ones = (ZERO,) * cls.n, (ONE,) * cls.n
+    gt, eq = cls.diag_gt, cls.diag_eq
+    return BoundVectors(
+        lower_gt=vec_max(zeros, *(ext.row_min[i] for i in gt)) if gt else zeros,
+        upper_gt=vec_min(ones, *(ext.row_max[i] for i in gt)) if gt else ones,
+        lower_eq=vec_max(zeros, *(ext.row_min[i] for i in eq)) if eq else zeros,
+    )
+
+
+def gate_feasibility(inst, cls, bounds) -> Infeasibility | None:
+    if cls.empty_support:
+        return Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support)
+    lower = vec_max(bounds.lower_gt, bounds.lower_eq)
+    if not vec_le(lower, bounds.upper_gt):
+        rows = tuple(j for j in inst.rows if lower[j - 1] > bounds.upper_gt[j - 1])
+        return Infeasibility(CAUSE_BOUND_CROSSING, rows)
+    return None
+
+
+class State:
+    """The rule state: domains, trace, snapshots and verdict."""
+
+    def __init__(self, cls):
+        self.eq_rows, self.lt_rows = cls.diag_eq, cls.diag_lt
+        self.eq_dom = {i: (1, 2) for i in cls.diag_eq}
+        self.lt_dom = {i: (1, 2) for i in cls.diag_lt}
+        self.anchor_dom = {i: tuple(cls.support[i]) for i in cls.diag_lt}
+        self.trace: list[TraceEvent] = []
+        self.snapshots: list[tuple] = []
+        self.infeasible = None
+        self.snapshot("initial")
+
+    def snapshot(self, stage):
+        cards = [1, 1, 1]
+        for k, doms in enumerate((self.eq_dom, self.lt_dom, self.anchor_dom)):
+            for dom in doms.values():
+                cards[k] *= len(dom)
+        self.snapshots.append((stage, *cards))
+
+    def remove(self, rule, dom, row, value, witness):
+        dom[row] = tuple(v for v in dom[row] if v != value)
+        self.trace.append(TraceEvent(rule, row, value, witness))
+
+    def variant_exhaustion(self):
+        if self.infeasible is None:
+            for cause, rows, dom in (
+                (CAUSE_EQ_VARIANTS, self.eq_rows, self.eq_dom),
+                (CAUSE_LT_VARIANTS, self.lt_rows, self.lt_dom),
+            ):
+                empty = tuple(i for i in rows if not dom[i])
+                if empty:
+                    self.infeasible = Infeasibility(cause, empty)
+                    return
+
+    def anchor_exhaustion(self):
+        empty = tuple(i for i in self.lt_rows if not self.anchor_dom[i])
+        if self.infeasible is None and empty:
+            self.infeasible = Infeasibility(CAUSE_ANCHORS, empty)
+
+
+def reduce_domains(inst, cls, ext, bounds) -> State:
+    state = State(cls)
+    b = inst.b
+    lower = vec_max(bounds.lower_gt, bounds.lower_eq)
+    for rule, rows, dom in ((1, state.eq_rows, state.eq_dom), (2, state.lt_rows, state.lt_dom)):
+        for row in rows:
+            for variant in dom[row]:
+                vec = ext.max_pin[row] if variant == 1 else ext.max_cap[row]
+                hit = next((j for j in inst.rows if lower[j - 1] > vec[j - 1]), None)
+                if hit is not None:
+                    state.remove(rule, dom, row, variant, (hit,))
+        state.snapshot(f"rule{rule}")
+    state.variant_exhaustion()
+    if state.infeasible:
+        return state
+    for row in state.lt_rows:
+        for j in state.anchor_dom[row]:
+            if ext.min_anchor[row, j][j - 1] > bounds.upper_gt[j - 1]:
+                state.remove(3, state.anchor_dom, row, j, (j,))
+    state.snapshot("rule3")
+    state.anchor_exhaustion()
+    if state.infeasible:
+        return state
+    for rule, rows, dom in ((4, state.eq_rows, state.eq_dom), (5, state.lt_rows, state.lt_dom)):
+        for r in rows:
+            if 2 not in dom[r]:
+                continue
+            for s in state.lt_rows:
+                if s != r and inst.entry(r, s) > b[r - 1] and b[r - 1] < b[s - 1]:
+                    state.remove(rule, dom, r, 2, (r, s))
+                    break
+        state.snapshot(f"rule{rule}")
+    state.variant_exhaustion()
+    if state.infeasible:
+        return state
+    for rule, rows, dom in ((6, state.eq_rows, state.eq_dom), (7, state.lt_rows, state.lt_dom)):
+        for r in rows:
+            if dom[r] != (1,):
+                continue
+            for s in state.lt_rows:
+                if s != r and r in state.anchor_dom[s] and b[r - 1] < b[s - 1]:
+                    state.remove(rule, state.anchor_dom, s, r, (r, s))
+        state.snapshot(f"rule{rule}")
+    state.anchor_exhaustion()
+    return state

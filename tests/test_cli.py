@@ -182,6 +182,14 @@ def test_input_contract_enforced_at_load(capsys, tmp_path):
     assert code == 2 and "x[1]" in err
     code, _, err = run_cli(capsys, "check", DEMO, "--x", "[0, 0")
     assert code == 2 and "--x" in err
+    for field, doc in (
+        ("b[1]", '{"A": [["0.5"]], "b": ["1e5000"], "c": ["1"]}'),
+        ("c[1]", '{"A": [["0.5"]], "b": ["0.5"], "c": ["1e5000"]}'),
+        ("A[1][1]", '{"A": [[1e-1000000]], "b": ["0.5"], "c": ["1"]}'),
+    ):
+        third.write_text(doc)
+        code, out, err = run_cli(capsys, "solve", str(third), "--json")
+        assert code == 2 and out == "" and field in err
 
 
 def test_internal_error_is_not_an_input_error(capsys, monkeypatch):
@@ -211,6 +219,16 @@ def test_closed_stdout_pipe_exits_quietly():
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "maxminfre.cli", "solve", DEMO, "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["objective_display"] == "-13.07"
+
+
+def test_package_runs_as_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxminfre", "solve", DEMO, "--json"],
         capture_output=True,
         text=True,
     )

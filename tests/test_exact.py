@@ -24,7 +24,10 @@ def test_parse_float_uses_shortest_repr():
     assert parse_scalar(0.1) == Fraction(1, 10)
 
 
-@pytest.mark.parametrize("bad", ["abc", None, [1], True, "1/0", "1/3", Fraction(2, 3)])
+@pytest.mark.parametrize(
+    "bad",
+    ["abc", None, [1], True, "1/0", "1/3", Fraction(2, 3), "1e5000", "1e-1000000", "1E+1_001"],
+)
 def test_parse_rejects_non_scalars(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

@@ -7,6 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from maxminfre import (
+    Instance,
     InstanceError,
     check_membership,
     compose_row,
@@ -14,7 +15,8 @@ from maxminfre import (
     load_instance,
     squarify,
 )
-from maxminfre.exact import ZERO
+from maxminfre.exact import ZERO, parse_scalar
+from maxminfre.generate import random_fre_doc
 from maxminfre.model import instance_from_doc
 
 from .conftest import (
@@ -54,6 +56,10 @@ def test_load_rejects_out_of_range():
         ({"A": [["0.5"]], "b": ["1/3"], "c": ["1"]}, "b[1]"),
         ({"A": [["0.5"]], "b": ["0.5"], "c": ["2/3"]}, "c[1]"),
         ({"A": [["0.5"]], "b": [None], "c": ["1"]}, "b[1]"),
+        ({"A": [["0.5"]], "b": ["1e5000"], "c": ["1"]}, "b[1]"),
+        ({"A": [["0.5"]], "b": ["0.5"], "c": ["1e5000"]}, "c[1]"),
+        ({"A": [["1e-1000000"]], "b": ["0.5"], "c": ["1"]}, "A[1][1]"),
+        ('{"A": [[0.5]], "b": [0.5], "c": [1e-1000000]}', "c[1]"),
     ],
 )
 def test_load_rejects_non_decimal_scalars(doc, field):
@@ -96,6 +102,46 @@ def test_load_rejects_bad_sense():
 def test_numeric_entries_parse_exactly():
     inst = load_instance(json.dumps({"A": [[0.66]], "b": [0.66], "c": [1], "sense": "min"}))
     assert inst.A[0][0] == Fraction(66, 100)
+
+
+def test_repeated_bad_value_names_its_first_field():
+    A = [["0"] * 4 for _ in range(4)]
+    A[0][1] = A[2][3] = "1.5"
+    with pytest.raises(InstanceError, match=re.escape("A[1][2] = '1.5' outside")):
+        load_instance({"A": A, "b": ["0"] * 4, "c": ["1"] * 4})
+
+
+@pytest.mark.parametrize("earlier", [1, "1"])
+def test_true_rejected_after_equal_values(earlier):
+    doc = {"A": [[earlier, "0"], [True, "0"]], "b": ["1", "0"], "c": ["1", "1"]}
+    with pytest.raises(InstanceError, match=re.escape("A[2][1]")):
+        instance_from_doc(doc)
+    text = '{"A": [[%s, "0"], [true, "0"]], "b": ["1", "0"], "c": ["1", "1"]}'
+    with pytest.raises(InstanceError, match=re.escape("A[2][1]")):
+        load_instance(text % json.dumps(earlier))
+
+
+def test_cost_outside_unit_interval_is_not_reused_for_a():
+    assert load_instance({"A": [["0.5"]], "b": ["0.5"], "c": ["1.5"]}).c == (frac("1.5"),)
+    with pytest.raises(InstanceError, match=re.escape("A[1][1]")):
+        load_instance({"A": [["1.5"]], "b": ["0.5"], "c": ["1.5"]})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_loaded_instance_equals_entrywise_parse(seed):
+    doc = random_fre_doc(16, 0.3, seed, b_cap=0.5)
+    doc["A"][0][:3] = [0.25, 1, Fraction(1, 2)]  # numbers next to their strings
+    expected = Instance(
+        n=16,
+        A=tuple(tuple(parse_scalar(v) for v in row) for row in doc["A"]),
+        b=tuple(parse_scalar(v) for v in doc["b"]),
+        c=tuple(parse_scalar(v) for v in doc["c"]),
+        sense="min",
+    )
+    for inst in (load_instance(doc), load_instance(json.dumps(doc, default=str))):
+        assert inst == expected
+        assert all(type(v) is Fraction for row in inst.A for v in row)
+        assert all(type(v) is Fraction for v in inst.b + inst.c)
 
 
 def test_squarify_keeps_square_input():

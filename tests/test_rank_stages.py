@@ -1,0 +1,65 @@
+"""Differential tests: the rank-based classification, extremals, bounds,
+gate and rules against the Fraction-compare reference in ``reference``."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+
+from maxminfre import (
+    aggregate_bounds,
+    classify_rows,
+    extremal_solutions,
+    gate_feasibility,
+    load_instance,
+    reduce_domains,
+)
+from maxminfre.generate import random_fre_doc
+
+from . import reference
+from .conftest import fine_instances, instances
+
+
+def _assert_same_stages(inst):
+    cls = classify_rows(inst)
+    assert cls == reference.classify_rows(inst)
+    ext = extremal_solutions(inst, cls)
+    assert ext == reference.extremal_solutions(inst, cls)
+    bounds = aggregate_bounds(ext, cls)
+    assert bounds == reference.aggregate_bounds(ext, cls)
+    assert all(
+        type(v) is Fraction
+        for vec in (bounds.lower_gt, bounds.upper_gt, bounds.lower_eq)
+        for v in vec
+    )
+    assert gate_feasibility(inst, cls, bounds) == reference.gate_feasibility(inst, cls, bounds)
+
+    state = reduce_domains(inst, cls, ext, bounds)
+    expected = reference.reduce_domains(inst, cls, ext, bounds)
+    assert [(e.rule, e.target, e.removed, e.witness) for e in state.trace] == [
+        (e.rule, e.target, e.removed, e.witness) for e in expected.trace
+    ]
+    assert state.snapshots == expected.snapshots
+    assert state.infeasible == expected.infeasible
+    assert (state.eq_dom, state.lt_dom, state.anchor_dom) == (
+        expected.eq_dom,
+        expected.lt_dom,
+        expected.anchor_dom,
+    )
+    return state
+
+
+@given(instances(max_n=5))
+def test_rank_stages_match_reference(inst):
+    _assert_same_stages(inst)
+
+
+@given(fine_instances(max_n=6))
+def test_rank_stages_match_reference_on_fine_values(inst):
+    _assert_same_stages(inst)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_stages_match_reference_on_wide_instances(seed):
+    state = _assert_same_stages(load_instance(random_fre_doc(64, 0.3, seed, b_cap=0.5)))
+    assert len(state.trace) > 100  # every rule family has work to do here
