@@ -25,6 +25,7 @@ ONE = Fraction(1)
 # turn an int into text, which rendering a result needs.
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_INT_LIMIT = 10 ** (MAX_EXPONENT + 1)  # int and Fraction parts: as many digits as 1e1000
 
 
 def parse_scalar(value) -> Fraction:
@@ -32,7 +33,8 @@ def parse_scalar(value) -> Fraction:
 
     Strings and ints are exact.  Floats are read through their shortest
     decimal repr, which recovers the decimal literal they were written as.
-    Values without a finite decimal form, such as "1/3", are rejected.
+    Values without a finite decimal form, such as "1/3", are rejected, and so
+    is an int or Fraction with more digits than 10**MAX_EXPONENT has.
     """
     if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
         raise ValueError(f"not a numeric scalar: {value!r}")
@@ -44,6 +46,8 @@ def parse_scalar(value) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a decimal scalar: {quoted(text)}") from exc
     d = parsed.denominator
+    if not isinstance(text, str) and max(abs(parsed.numerator), d) >= _INT_LIMIT:
+        raise ValueError(f"{type(value).__name__} with more than {MAX_EXPONENT + 1} digits")
     if pow(10, d.bit_length(), d):  # d | 10^bit_length(d) iff d = 2^a * 5^b
         raise ValueError(f"{value!r} has no finite decimal form")
     return parsed

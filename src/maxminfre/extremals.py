@@ -62,9 +62,12 @@ def classify_rows(inst: Instance) -> RowClassification:
     empty = []
     for i, target in zip(inst.rows, ranked(table, inst.b)):
         row = ranked(table, inst.A[i - 1])
-        strict[i] = tuple(j for j, r in enumerate(row, start=1) if r > target)
-        equal[i] = tuple(j for j, r in enumerate(row, start=1) if r == target)
-        support[i] = tuple(j for j, r in enumerate(row, start=1) if r >= target)
+        # tuple() of a list, not of a generator: a generator's tuple is built
+        # at a guessed size and resized, which fills CPython's per-size tuple
+        # free lists a little on every call until the next full collection
+        strict[i] = tuple([j for j, r in enumerate(row, start=1) if r > target])
+        equal[i] = tuple([j for j, r in enumerate(row, start=1) if r == target])
+        support[i] = tuple([j for j, r in enumerate(row, start=1) if r >= target])
         if not support[i]:
             empty.append(i)
         diag = row[i - 1]

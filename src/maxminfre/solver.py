@@ -28,11 +28,23 @@ of every extremal vector and of the root box lies on the finite grid
 again grid values, so mapping each value to its index in the sorted grid is
 an order isomorphism: every cut, every merge and the frontier keys are the
 same on ranks as on values.  A value off the grid would break that argument,
-so it raises ``KeyError`` instead of being rounded.  Each box is scored from
-a table of c_j * grid[r] multiplied by one positive common multiple of the
-denominators, which makes every entry an integer and keeps the order of
-objectives exact; only the winning box and the returned region boxes are
-decoded back to values.
+so it raises ``KeyError`` instead of being rounded.
+
+Each rank vector is packed into one int (``_Lanes``).  With w the bit length
+of (grid size - 1), coordinate j owns the w + 1 bits from j(w + 1) up: its
+rank in the low w bits and a zero guard bit on top.  Setting every guard bit
+of a and subtracting b leaves 2^w + a_j - b_j in lane j, which lies in
+[1, 2^(w+1) - 1], so no lane borrows from its neighbour and the guard bit
+survives exactly where a_j >= b_j.  All guards surviving is the lane-wise
+<= test; widening the survivors to whole-lane masks makes max and min two
+masked selects.  Packing is a bijection between rank vectors and ints, so
+the packed (lower, upper) keys merge exactly the states that rank tuples
+merge, in the same insertion order: the stream order and the lex-first
+tie-break above are unchanged.  Each box is scored from a table of
+c_j * grid[r] multiplied by one positive common multiple of the
+denominators, looked up by each lane's rank, which makes every entry an
+integer and keeps the order of objectives exact; only the winning box and
+the returned region boxes are unpacked and decoded back to values.
 """
 
 from __future__ import annotations
@@ -167,20 +179,6 @@ def _levels(state: ReductionState, ext: ExtremalSet) -> list:
     )
 
 
-def _step(raises_lower: bool, lower: Vec, upper: Vec, vec: Vec):
-    """The partial box after one choice, or None once it is provably empty."""
-    if raises_lower:
-        lower = vec_max(lower, vec)
-    else:
-        upper = vec_min(upper, vec)
-    return (lower, upper) if vec_le(lower, upper) else None
-
-
-def _root(bounds: BoundVectors):
-    lower = bounds.lower
-    return (lower, bounds.upper_gt) if vec_le(lower, bounds.upper_gt) else None
-
-
 def _triple(state: ReductionState, values: tuple[int, ...]) -> Triple:
     lt_rows, eq_rows = state.lt_rows, state.eq_rows
     a, e = len(lt_rows), len(lt_rows) + len(eq_rows)
@@ -194,8 +192,8 @@ def enumerate_admissible(
 ) -> Iterator[tuple[Triple, Cell]]:
     """Yield (triple, nonempty box) over the reduced domains in lex order."""
     levels = _levels(state, ext)
-    root = _root(bounds)
-    stack = [] if root is None else [(root, ())]
+    root = (bounds.lower, bounds.upper_gt)
+    stack = [(root, ())] if vec_le(*root) else []
     while stack:
         (lower, upper), chosen = stack.pop()
         if len(chosen) == len(levels):
@@ -203,8 +201,8 @@ def enumerate_admissible(
             continue
         raises_lower, options = levels[len(chosen)]
         for value, vec in reversed(options):
-            box = _step(raises_lower, lower, upper, vec)
-            if box is not None:
+            box = (vec_max(lower, vec), upper) if raises_lower else (lower, vec_min(upper, vec))
+            if vec_le(*box):
                 stack.append((box, chosen + (value,)))
 
 
@@ -212,31 +210,65 @@ def _grid(inst: Instance) -> tuple[Fraction, ...]:
     return tuple(sorted({ZERO, ONE, *inst.b}))
 
 
-def _frontier(
-    grid: tuple[Fraction, ...], state: ReductionState, bounds: BoundVectors, ext: ExtremalSet
-) -> dict:
-    """(lower, upper) as grid ranks -> [multiplicity, lex-first triple as a
+class _Lanes:
+    """Rank vectors over one grid, each packed into one int: coordinate j
+    holds its rank in bits [j(w+1), j(w+1) + w) under a zero guard bit."""
+
+    def __init__(self, grid: tuple[Fraction, ...], n: int):
+        self.grid, self.table = grid, rank_table(grid)  # the rank of grid[r] is r
+        self.w = w = (len(grid) - 1).bit_length()
+        self.lane = (1 << w) - 1
+        self.shifts = range(0, n * (w + 1), w + 1)
+        self.guards = sum(1 << (shift + w) for shift in self.shifts)
+
+    def pack(self, vec: Vec) -> int:
+        return sum(r << shift for r, shift in zip(ranked(self.table, vec), self.shifts))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        return tuple((packed >> shift) & self.lane for shift in self.shifts)
+
+    def le(self, a: int, b: int) -> bool:
+        """a <= b on every lane: no guard bit of (b | guards) - a is borrowed."""
+        return ((b | self.guards) - a) & self.guards == self.guards
+
+    def _ge_mask(self, a: int, b: int) -> int:
+        """All rank bits of the lanes where a >= b."""
+        return ((((a | self.guards) - b) & self.guards) >> self.w) * self.lane
+
+    def max(self, a: int, b: int) -> int:
+        mask = self._ge_mask(a, b)
+        return (a & mask) | (b & ~mask)
+
+    def min(self, a: int, b: int) -> int:
+        mask = self._ge_mask(a, b)
+        return (b & mask) | (a & ~mask)
+
+    def decode(self, lower: int, upper: int) -> Cell:
+        return Cell(*(tuple(self.grid[r] for r in self.unpack(side)) for side in (lower, upper)))
+
+
+def _frontier(lanes: _Lanes, state: ReductionState, bounds: BoundVectors, ext: ExtremalSet) -> dict:
+    """Packed (lower, upper) -> [multiplicity, lex-first triple as a
     backwards (value, parent) chain] for every distinct nonempty box, in
-    stream order."""
-    table = rank_table(grid)  # the rank of grid[r] is r
-    root = _root(bounds)
-    frontier = {}
-    if root is not None:
-        frontier[ranked(table, root[0]), ranked(table, root[1])] = [1, None]
+    stream order.  The box stays nonempty iff the chosen vector lies on the
+    right side of the bound it does not move."""
+    lower, upper = lanes.pack(bounds.lower), lanes.pack(bounds.upper_gt)
+    frontier = {(lower, upper): [1, None]} if lanes.le(lower, upper) else {}
+    le, lane_max, lane_min = lanes.le, lanes.max, lanes.min
     for raises_lower, options in _levels(state, ext):
-        options = [(value, ranked(table, vec)) for value, vec in options]
+        options = [(value, lanes.pack(vec)) for value, vec in options]
         merged: dict = {}
         for (lower, upper), (count, chain) in frontier.items():
             for value, vec in options:
-                box = _step(raises_lower, lower, upper, vec)
-                if box is not None:
-                    merged.setdefault(box, [0, (value, chain)])[0] += count
+                if raises_lower and le(vec, upper):
+                    box = (lane_max(lower, vec), upper)
+                elif not raises_lower and le(lower, vec):
+                    box = (lower, lane_min(upper, vec))
+                else:
+                    continue
+                merged.setdefault(box, [0, (value, chain)])[0] += count
         frontier = merged
     return frontier
-
-
-def _decode(grid: tuple[Fraction, ...], lower, upper) -> Cell:
-    return Cell(tuple(grid[r] for r in lower), tuple(grid[r] for r in upper))
 
 
 def _choices(chain) -> tuple[int, ...]:
@@ -260,24 +292,25 @@ def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
     return Candidate(triple=triple, cell=cell, x=x, objective=objective)
 
 
-def _scorer(grid: tuple[Fraction, ...], c: Vec, sense: str):
-    """Exact objective of a ranked box as an int, smaller is better: the box
+def _scorer(lanes: _Lanes, c: Vec, sense: str):
+    """Exact objective of a packed box as an int, smaller is better: the box
     picks its bounds as ``make_candidate`` does, and each c_j * grid[r] is
     multiplied by the lcm of the c denominators times the lcm of the grid
     denominators, which makes it an integer (negated for max)."""
+    grid, lane = lanes.grid, lanes.lane
     c_scale = math.lcm(*(cj.denominator for cj in c))
     g_scale = math.lcm(*(value.denominator for value in grid))
     grid_ints = [value.numerator * (g_scale // value.denominator) for value in grid]
     sign = 1 if sense == "min" else -1
     take_lower_on_nonneg = sense == "min"
     picks = []
-    for j, cj in enumerate(c):
+    for shift, cj in zip(lanes.shifts, c):
         weight = sign * cj.numerator * (c_scale // cj.denominator)
         side = 0 if (cj >= ZERO) == take_lower_on_nonneg else 1
-        picks.append((j, side, [weight * g for g in grid_ints]))
+        picks.append((shift, side, [weight * g for g in grid_ints]))
 
     def score(box) -> int:
-        return sum(table[box[side][j]] for j, side, table in picks)
+        return sum(table[(box[side] >> shift) & lane] for shift, side, table in picks)
 
     return score
 
@@ -305,8 +338,8 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
         stats = _stats(state) if state is not None else _EMPTY_STATS
         return Solution("infeasible", None, infeasible, stats)
 
-    grid = _grid(inst)
-    frontier = _frontier(grid, state, bounds, ext)
+    lanes = _Lanes(_grid(inst), inst.n)
+    frontier = _frontier(lanes, state, bounds, ext)
     stats = _stats(
         state,
         admissible=sum(count for count, _ in frontier.values()),
@@ -314,11 +347,11 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
     )
     if not frontier:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
-    score = _scorer(grid, inst.c, inst.sense)
+    score = _scorer(lanes, inst.c, inst.sense)
     # min keeps the first of equal scores: the lex-first triple wins ties
     box, (_, chain) = min(frontier.items(), key=lambda item: score(item[0]))
     best = make_candidate(
-        _triple(state, _choices(chain)), _decode(grid, *box), inst.c, inst.sense
+        _triple(state, _choices(chain)), lanes.decode(*box), inst.c, inst.sense
     )
     return Solution("optimal", best, None, stats)
 
@@ -333,15 +366,15 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
     cls, ext, bounds, state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
         return []
-    grid = _grid(inst)
-    # Cells over ranks until the end: dominance is the same on ranks
-    cells = [Cell(lower, upper) for lower, upper in _frontier(grid, state, bounds, ext)]
-    if dedup:
-        kept: list[Cell] = []
-        for cell in cells:
-            if any(other.dominates(cell) for other in kept):
+    lanes = _Lanes(_grid(inst), inst.n)
+    boxes = list(_frontier(lanes, state, bounds, ext))
+    if dedup:  # packed until the end: dominance is the same on ranks
+        le = lanes.le
+        kept: list = []
+        for lower, upper in boxes:
+            if any(le(lo, lower) and le(upper, up) for lo, up in kept):
                 continue
-            kept = [other for other in kept if not cell.dominates(other)]
-            kept.append(cell)
-        cells = kept
-    return [_decode(grid, cell.lower, cell.upper) for cell in cells]
+            kept = [(lo, up) for lo, up in kept if not (le(lower, lo) and le(up, upper))]
+            kept.append((lower, upper))
+        boxes = kept
+    return [lanes.decode(lower, upper) for lower, upper in boxes]

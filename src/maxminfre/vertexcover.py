@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import ONE, ZERO, Vec
 from .extremals import classify_rows, extremal_solutions
@@ -142,7 +141,7 @@ def graph_to_instance(g: Graph) -> Instance:
     adjacency = g.adjacency
     return Instance(
         n=g.n,
-        A=tuple(tuple(Fraction(v) for v in row) for row in adjacency),
+        A=tuple(tuple(ONE if v else ZERO for v in row) for row in adjacency),
         b=(ZERO,) * g.n,
         c=(ONE,) * g.n,
         sense="max",
@@ -252,7 +251,7 @@ def verify_structure(result: CoverResult, g: Graph) -> StructureReport:
     )
     cap_ok = all(
         ext.max_cap[i]
-        == tuple(ONE - Fraction(adjacency[i - 1][j - 1]) for j in range(1, g.n + 1))
+        == tuple(ZERO if adjacency[i - 1][j - 1] else ONE for j in range(1, g.n + 1))
         for i in cls.diag_eq
     )
     checks.append(

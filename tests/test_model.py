@@ -13,9 +13,10 @@ from maxminfre import (
     compose_row,
     instance_to_doc,
     load_instance,
+    solve,
     squarify,
 )
-from maxminfre.exact import ZERO, parse_scalar
+from maxminfre.exact import ZERO, decimal_str, parse_scalar
 from maxminfre.generate import random_fre_doc
 from maxminfre.model import instance_from_doc
 
@@ -60,11 +61,18 @@ def test_load_rejects_out_of_range():
         ({"A": [["0.5"]], "b": ["0.5"], "c": ["1e5000"]}, "c[1]"),
         ({"A": [["1e-1000000"]], "b": ["0.5"], "c": ["1"]}, "A[1][1]"),
         ('{"A": [[0.5]], "b": [0.5], "c": [1e-1000000]}', "c[1]"),
+        ({"A": [["0.5"]], "b": ["0.5"], "c": [10**5000]}, "c[1]"),
     ],
 )
 def test_load_rejects_non_decimal_scalars(doc, field):
     with pytest.raises(InstanceError, match=re.escape(field)):
         load_instance(doc)
+
+
+def test_large_int_cost_is_accepted_like_its_exponent_form():
+    inst = instance_from_doc({"A": [["0.5"]], "b": ["0.5"], "c": [10**1000]})
+    assert inst == instance_from_doc({"A": [["0.5"]], "b": ["0.5"], "c": ["1e1000"]})
+    assert decimal_str(solve(inst).candidate.objective) == "5" + "0" * 999
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
+import hypothesis.strategies as st
 
 from maxminfre import (
     Instance,
@@ -21,7 +23,7 @@ from maxminfre import (
     verify_structure,
 )
 from maxminfre.exact import ONE, ZERO
-from maxminfre.extremals import BoundVectors, Cell
+from maxminfre.extremals import BoundVectors, Cell, vec_le, vec_max, vec_min
 from maxminfre.generate import random_fre_doc, random_graph_edges
 from maxminfre.oracle import specialized_cover
 from maxminfre.reduction import (
@@ -31,7 +33,7 @@ from maxminfre.reduction import (
     initial_state,
     reduce_domains,
 )
-from maxminfre.solver import enumerate_admissible
+from maxminfre.solver import _Lanes, enumerate_admissible
 
 from .conftest import (
     DEMO_OBJECTIVE,
@@ -302,6 +304,37 @@ def test_value_off_the_grid_fails_loudly(demo10, monkeypatch):
         solve(demo10)
     with pytest.raises(KeyError):
         feasible_region(demo10)
+
+
+# Every lane width from 1 to 8 bits, each at both ends of its range
+GRID_SIZES = sorted({2, 3, 4, 5, *(size for k in range(1, 8) for size in (2**k, 2**k + 1))})
+
+
+@st.composite
+def lane_cases(draw):
+    size = draw(st.sampled_from(GRID_SIZES))
+    n = draw(st.integers(1, 70))
+    rank_vectors = st.lists(st.integers(0, size - 1), min_size=n, max_size=n).map(tuple)
+    return size, draw(rank_vectors), draw(rank_vectors)
+
+
+@given(lane_cases())
+def test_packed_lanes_match_rank_vectors(case):
+    size, a, b = case
+    grid = tuple(Fraction(r, size - 1) for r in range(size))
+    lanes = _Lanes(grid, len(a))
+    packed_a, packed_b = (lanes.pack(tuple(grid[r] for r in v)) for v in (a, b))
+    assert lanes.unpack(packed_a) == a
+    assert lanes.unpack(lanes.max(packed_a, packed_b)) == vec_max(a, b)
+    assert lanes.unpack(lanes.min(packed_a, packed_b)) == vec_min(a, b)
+    assert lanes.le(packed_a, packed_b) == vec_le(a, b)
+    # the comparisons near equality, where a borrow would cross a lane
+    low, high = lanes.min(packed_a, packed_b), lanes.max(packed_a, packed_b)
+    assert lanes.le(low, high) and lanes.le(low, packed_a) and lanes.le(packed_a, high)
+    assert lanes.le(high, low) == (a == b)
+    assert lanes.decode(low, high) == Cell(
+        tuple(grid[r] for r in vec_min(a, b)), tuple(grid[r] for r in vec_max(a, b))
+    )
 
 
 def test_seed10_merges_every_triple_into_one_box():

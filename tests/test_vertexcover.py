@@ -136,6 +136,29 @@ def test_optimum_equals_chosen_maximal_bound():
         assert sel.upper_eq == result.x_star
 
 
+# The widest frontiers that still solve in well under a second: 2^20
+# admissible triples each.
+PATH20 = make_graph(20, [(v, v + 1) for v in range(1, 20)])
+GRID4X5 = make_graph(
+    20, [(v, v + 1) for v in range(1, 21) if v % 5] + [(v, v + 5) for v in range(1, 16)]
+)
+SPARSE20 = make_graph(20, random_graph_edges(20, 0.1, 1))
+
+
+@pytest.mark.parametrize(
+    "g, size", [(PATH20, 10), (GRID4X5, 10), (SPARSE20, 9)], ids=["path20", "grid4x5", "sparse20"]
+)
+def test_sparse_cover_pins(g, size):
+    result = solve_cover(g)
+    assert result.size == size
+    assert result.solution.statistics.admissible == 2**20
+    assert verify_structure(result, g).ok
+    if g is SPARSE20:
+        x, assignment = specialized_cover(g)
+        assert result.x_star == x
+        assert result.solution.candidate.triple.eq_choices == assignment
+
+
 @given(graphs(max_n=8))
 def test_cover_matches_oracle(g):
     result = solve_cover(g)
