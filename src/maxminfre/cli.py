@@ -17,7 +17,6 @@ import os
 import sys
 import time
 import traceback
-from fractions import Fraction
 
 from .exact import decimal_str, display_round, vector_str
 from .extremals import Cell, aggregate_bounds, classify_rows, extremal_solutions
@@ -27,14 +26,14 @@ from .generate import (
     random_fre_doc,
     random_graph_edges,
 )
-from .model import InstanceError, check_membership, load_instance
+from .model import InstanceError, check_membership, load_instance, parse_json
 from .oracle import (
     BudgetExceeded,
     brute_force_cover,
     grid_optimum,
     sample_feasibility,
 )
-from .reduction import reduce_domains
+from .reduction import Infeasibility, reduce_domains
 from .solver import Solution, feasible_region, solve
 from .vertexcover import (
     GraphError,
@@ -85,13 +84,16 @@ def _solution_doc(sol: Solution, trace: bool = False, cells=None) -> dict:
         }
         doc["cell"] = _cell_doc(cand.cell)
     else:
-        doc["infeasibility_cause"] = sol.cause.cause
-        doc["infeasibility_rows"] = list(sol.cause.rows)
+        doc.update(_infeasibility_doc(sol.cause))
     if trace:
         doc["trace"] = [event.line() for event in sol.statistics.trace]
     if cells is not None:
         doc["region"] = [_cell_doc(cell) for cell in cells]
     return doc
+
+
+def _infeasibility_doc(cause: Infeasibility) -> dict:
+    return {"infeasibility_cause": cause.cause, "infeasibility_rows": list(cause.rows)}
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -209,8 +211,11 @@ def cmd_region(args) -> int:
     inst = load_instance(args.instance)
     cells = feasible_region(inst, dedup=not args.no_dedup)
     if not cells:
-        sol = solve(inst)
-        print(f"infeasible: {sol.cause.describe()}")
+        cause = solve(inst).cause
+        if args.json:
+            _emit({"status": "infeasible", **_infeasibility_doc(cause)}, True)
+        else:
+            print(f"infeasible: {cause.describe()}")
         return INFEASIBLE
     doc = {"status": "feasible", "cells": [_cell_doc(c) for c in cells]}
     _emit(doc, args.json)
@@ -244,12 +249,14 @@ def cmd_vc(args) -> int:
 def cmd_oracle(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         text = fh.read()
-    if not text.lstrip().startswith("{") or "adjacency" in text:
+    # a JSON object is a graph iff it has a top-level "adjacency" key
+    doc = parse_json(text) if text.lstrip().startswith("{") else None
+    if doc is None or "adjacency" in doc:
         graph = load_graph(text)
         oracle = brute_force_cover(graph)
         _emit({"size": oracle.size, "cover": list(oracle.cover)}, args.json)
         return OK
-    inst = load_instance(text)
+    inst = load_instance(doc)
     if args.sample is not None:
         if args.sample < 1:
             raise InstanceError(f"--sample must be at least 1, got {args.sample}")
@@ -301,9 +308,9 @@ def cmd_check(args) -> int:
     raw = args.x.strip()
     if raw.startswith("["):
         try:
-            values = json.loads(raw, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"--x is not a JSON list: {exc}") from exc
+            values = parse_json(raw)
+        except InstanceError as exc:
+            raise InstanceError(f"--x: {exc}") from exc
     else:
         values = [v for v in raw.split(",") if v.strip()]
     report = check_membership(inst, values)
@@ -363,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force verifiers")
     p.add_argument("path", help="instance or graph file")
-    p.add_argument("--grid", action="store_true", help="grid optimum (default)")
-    p.add_argument("--sample", type=int, metavar="K", help="membership/box agreement")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--grid", action="store_true", help="grid optimum (default)")
+    mode.add_argument("--sample", type=int, metavar="K", help="membership/box agreement")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)

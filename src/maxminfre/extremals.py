@@ -45,7 +45,6 @@ class RowClassification:
     n: int
     support: dict[int, tuple[int, ...]]  # columns with a_ij >= b_i
     support_strict: dict[int, tuple[int, ...]]  # a_ij > b_i
-    support_equal: dict[int, tuple[int, ...]]  # a_ij = b_i
     diag_gt: tuple[int, ...]
     diag_eq: tuple[int, ...]
     diag_lt: tuple[int, ...]
@@ -57,7 +56,6 @@ def classify_rows(inst: Instance) -> RowClassification:
     table = rank_table(chain(inst.b, *inst.A))
     support: dict[int, tuple[int, ...]] = {}
     strict: dict[int, tuple[int, ...]] = {}
-    equal: dict[int, tuple[int, ...]] = {}
     diag_gt, diag_eq, diag_lt = [], [], []
     empty = []
     for i, target in zip(inst.rows, ranked(table, inst.b)):
@@ -66,7 +64,6 @@ def classify_rows(inst: Instance) -> RowClassification:
         # at a guessed size and resized, which fills CPython's per-size tuple
         # free lists a little on every call until the next full collection
         strict[i] = tuple([j for j, r in enumerate(row, start=1) if r > target])
-        equal[i] = tuple([j for j, r in enumerate(row, start=1) if r == target])
         support[i] = tuple([j for j, r in enumerate(row, start=1) if r >= target])
         if not support[i]:
             empty.append(i)
@@ -81,7 +78,6 @@ def classify_rows(inst: Instance) -> RowClassification:
         n=inst.n,
         support=support,
         support_strict=strict,
-        support_equal=equal,
         diag_gt=tuple(diag_gt),
         diag_eq=tuple(diag_eq),
         diag_lt=tuple(diag_lt),

@@ -154,6 +154,15 @@ def instance_from_doc(doc: dict) -> Instance:
     )
 
 
+def parse_json(text: str):
+    """Parse JSON text, keeping every number as its text so that it gets the
+    field-naming checks of strings."""
+    try:
+        return json.loads(text, parse_float=str, parse_int=str)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"invalid JSON: {exc}") from exc
+
+
 def load_instance(source) -> Instance:
     """Load an instance from a dict, a JSON string, or a file path."""
     if isinstance(source, dict):
@@ -165,12 +174,7 @@ def load_instance(source) -> Instance:
                 text = fh.read()
         except OSError as exc:
             raise InstanceError(f"cannot read instance file: {exc}") from exc
-    try:
-        # numbers stay text, so that they get the field-naming checks of strings
-        doc = json.loads(text, parse_float=str, parse_int=str)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from exc
-    return instance_from_doc(doc)
+    return instance_from_doc(parse_json(text))
 
 
 def instance_to_doc(inst: Instance) -> dict:

@@ -6,7 +6,8 @@ rows, which anchor column carries the minimal solution.  The rules below
 remove selector values that can only produce empty boxes; they never remove
 an admissible selection.  Removed values leave the row's domain; the
 extremal vectors that the values stand for (``ExtremalSet``) never change,
-and the rules read them there.
+and each equals its row's target b_i wherever it is not 0 or 1, so the rules
+compare row targets, read through one rank view (``_ranked_targets``).
 
 Rule summary (targets in parentheses):
 
@@ -23,7 +24,7 @@ Rule summary (targets in parentheses):
 Rules fire in a single pass each, in ascending index order, following the
 solve pipeline: 1, 2, 3, then 4+5, then 6+7.  Emptied domains are recorded
 as infeasibility verdicts, never raised.  Every rule compares integer ranks
-(``exact.rank_table``) of the values involved, never ``Fraction``s.
+(``exact.rank_table``) of the targets and bounds, never ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -127,83 +128,78 @@ def initial_state(ext: ExtremalSet, cls: RowClassification) -> ReductionState:
     return state
 
 
-def _variant_exhaustion(state: ReductionState) -> None:
-    """Record infeasibility when a row has lost both maximal variants."""
+def _exhaustion(state: ReductionState, *checks: tuple[str, dict]) -> None:
+    """Record the first (cause, domains) pair, in the order given, whose
+    domains hold an emptied row; the rows are named in ascending order."""
     if state.infeasible is not None:
         return
-    empty_eq = tuple(i for i in state.eq_rows if not state.eq_dom[i])
-    if empty_eq:
-        state.infeasible = Infeasibility(CAUSE_EQ_VARIANTS, empty_eq)
-        return
-    empty_lt = tuple(i for i in state.lt_rows if not state.lt_dom[i])
-    if empty_lt:
-        state.infeasible = Infeasibility(CAUSE_LT_VARIANTS, empty_lt)
+    for cause, dom in checks:
+        empty = tuple([i for i, values in dom.items() if not values])
+        if empty:
+            state.infeasible = Infeasibility(cause, empty)
+            return
 
 
-def _anchor_exhaustion(state: ReductionState) -> None:
-    if state.infeasible is not None:
-        return
-    empty = tuple(i for i in state.lt_rows if not state.anchor_dom[i])
-    if empty:
-        state.infeasible = Infeasibility(CAUSE_ANCHORS, empty)
+def _ranked_targets(state: ReductionState, bound: Vec) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Rank ``bound`` and the target b_i of every diag_eq/diag_lt row on one
+    table: (the bound's ranks, row -> target rank).  Each target is read at
+    the row's own coordinate of its variant-1 maximal."""
+    rows = state.eq_rows + state.lt_rows
+    targets = tuple([state.ext.max_pin[i][i - 1] for i in rows])
+    table = rank_table(bound + targets)
+    return ranked(table, bound), dict(zip(rows, ranked(table, targets)))
 
 
 def apply_bound_rules(state: ReductionState, bounds: BoundVectors) -> ReductionState:
     """Rules 1 and 2: kill maximal variants crossed by the combined lower bound.
 
     A maximal differs from 1 only at its row (variant 1) or at the row's
-    strict support (variant 2), and no bound exceeds 1, so only those
-    coordinates can be crossed; they are scanned in ascending order, which
-    keeps the first crossing as the witness.  The values there are the row
-    targets, read from the variant-1 maximals.
+    strict support (variant 2), where it equals the row target, and no bound
+    exceeds 1, so only those coordinates can be crossed; they are scanned in
+    ascending order, which keeps the first crossing as the witness.
     """
-    ext, strict = state.ext, state.cls.support_strict
-    targets = tuple(ext.max_pin[i][i - 1] for i in state.eq_rows + state.lt_rows)
-    table = rank_table(bounds.lower + targets)
-    lower = ranked(table, bounds.lower)
+    strict = state.cls.support_strict
+    lower, target = _ranked_targets(state, bounds.lower)
     for rule, dom, rows in ((1, state.eq_dom, state.eq_rows), (2, state.lt_dom, state.lt_rows)):
         hits = []
         for row in rows:
+            t = target[row]
             for variant in dom[row]:
-                vec = ext.maximal(row, variant)
                 coords = (row,) if variant == 1 else strict[row]
-                hit = next(
-                    (j for j in coords if lower[j - 1] > table[vec[j - 1].as_integer_ratio()]),
-                    None,
-                )
+                hit = next((j for j in coords if lower[j - 1] > t), None)
                 if hit is not None:
                     hits.append((row, variant, (hit,)))
         state._prune(rule, dom, hits)
         state.snapshot(f"rule{rule}")
-    _variant_exhaustion(state)
+    _exhaustion(state, (CAUSE_EQ_VARIANTS, state.eq_dom), (CAUSE_LT_VARIANTS, state.lt_dom))
     return state
 
 
 def apply_minimal_rule3(state: ReductionState, bounds: BoundVectors) -> ReductionState:
-    """Rule 3: kill anchors whose minimal solution crosses the diag_gt upper bound."""
-    pairs = [(row, j) for row in state.lt_rows for j in state.anchor_dom[row]]
-    values = tuple(state.ext.min_anchor[row, j][j - 1] for row, j in pairs)
-    table = rank_table(bounds.upper_gt + values)
-    upper = ranked(table, bounds.upper_gt)
+    """Rule 3: kill anchors whose minimal solution crosses the diag_gt upper
+    bound; the minimal anchored at j holds the row target at j."""
+    upper, target = _ranked_targets(state, bounds.upper_gt)
     hits = [
         (row, j, (j,))
-        for (row, j), rank in zip(pairs, ranked(table, values))
-        if rank > upper[j - 1]
+        for row in state.lt_rows
+        for j in state.anchor_dom[row]
+        if target[row] > upper[j - 1]
     ]
     state._prune(3, state.anchor_dom, hits)
     state.snapshot("rule3")
-    _anchor_exhaustion(state)
+    _exhaustion(state, (CAUSE_ANCHORS, state.anchor_dom))
     return state
 
 
-def apply_cross_rules(state: ReductionState, inst: Instance, cls: RowClassification) -> ReductionState:
+def apply_cross_rules(state: ReductionState) -> ReductionState:
     """Rules 4 and 5: a row whose capped target is strictly below another
     row's anchored requirement cannot use its variant-2 maximal.
 
     a_rs > b_r is read as s in the strict support of r, which ascends like
-    the diag_lt rows, so the first witness is the same.
+    the diag_lt rows, so the first witness is the same.  Only diag_lt rows
+    s qualify, and a diag_gt row has no target, so that test comes first.
     """
-    target = ranked(rank_table(inst.b), inst.b)
+    _, target = _ranked_targets(state, ())
     lt = set(state.lt_rows)
     for rule, dom, rows in ((4, state.eq_dom, state.eq_rows), (5, state.lt_dom, state.lt_rows)):
         hits = []
@@ -213,8 +209,8 @@ def apply_cross_rules(state: ReductionState, inst: Instance, cls: RowClassificat
             s = next(
                 (
                     s
-                    for s in cls.support_strict[r]
-                    if s in lt and s != r and target[r - 1] < target[s - 1]
+                    for s in state.cls.support_strict[r]
+                    if s in lt and s != r and target[r] < target[s]
                 ),
                 None,
             )
@@ -222,25 +218,25 @@ def apply_cross_rules(state: ReductionState, inst: Instance, cls: RowClassificat
                 hits.append((r, 2, (r, s)))
         state._prune(rule, dom, hits)
         state.snapshot(f"rule{rule}")
-    _variant_exhaustion(state)
+    _exhaustion(state, (CAUSE_EQ_VARIANTS, state.eq_dom), (CAUSE_LT_VARIANTS, state.lt_dom))
     return state
 
 
-def apply_pinned_rules(state: ReductionState, cls: RowClassification, b: Vec) -> ReductionState:
+def apply_pinned_rules(state: ReductionState) -> ReductionState:
     """Rules 6 and 7: a row pinned to variant 1 keeps its own coordinate at
     its target, so it cannot anchor a row with a strictly larger target."""
-    target = ranked(rank_table(b), b)
+    _, target = _ranked_targets(state, ())
     for rule, dom, rows in ((6, state.eq_dom, state.eq_rows), (7, state.lt_dom, state.lt_rows)):
         hits = [
             (s, r, (r, s))
             for r in rows
             if dom[r] == (1,)
             for s in state.lt_rows
-            if s != r and target[r - 1] < target[s - 1] and r in state.anchor_dom[s]
+            if s != r and target[r] < target[s] and r in state.anchor_dom[s]
         ]
         state._prune(rule, state.anchor_dom, hits)
         state.snapshot(f"rule{rule}")
-    _anchor_exhaustion(state)
+    _exhaustion(state, (CAUSE_ANCHORS, state.anchor_dom))
     return state
 
 
@@ -250,7 +246,8 @@ def reduce_domains(
     ext: ExtremalSet,
     bounds: BoundVectors,
 ) -> ReductionState:
-    """Full rule pipeline; stops early once infeasibility is recorded."""
+    """Full rule pipeline; stops early once infeasibility is recorded.  ``inst``
+    is not read: the rules take the row targets from ``ext``."""
     state = initial_state(ext, cls)
     apply_bound_rules(state, bounds)
     if state.infeasible:
@@ -258,8 +255,8 @@ def reduce_domains(
     apply_minimal_rule3(state, bounds)
     if state.infeasible:
         return state
-    apply_cross_rules(state, inst, cls)
+    apply_cross_rules(state)
     if state.infeasible:
         return state
-    apply_pinned_rules(state, cls, inst.b)
+    apply_pinned_rules(state)
     return state

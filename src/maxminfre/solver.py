@@ -96,16 +96,8 @@ class Triple:
         return (self.anchors, self.eq_choices, self.lt_choices)
 
     @property
-    def anchor(self) -> dict[int, int]:
-        return dict(zip(self.anchor_rows, self.anchors))
-
-    @property
     def eq_choice(self) -> dict[int, int]:
         return dict(zip(self.eq_rows, self.eq_choices))
-
-    @property
-    def lt_choice(self) -> dict[int, int]:
-        return dict(zip(self.lt_rows, self.lt_choices))
 
 
 @dataclass(frozen=True)
@@ -318,22 +310,22 @@ def _scorer(lanes: _Lanes, c: Vec, sense: str):
 def _prepare(inst: Instance, use_rules: bool):
     cls = classify_rows(inst)
     if cls.empty_support:
-        return cls, None, None, None, Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support)
+        return None, None, None, Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support)
     ext = extremal_solutions(inst, cls)
     bounds = aggregate_bounds(ext, cls)
     gate = gate_feasibility(inst, cls, bounds)
     if gate is not None:
-        return cls, ext, bounds, None, gate
+        return ext, bounds, None, gate
     if use_rules:
         state = reduce_domains(inst, cls, ext, bounds)
     else:
         state = initial_state(ext, cls)
-    return cls, ext, bounds, state, state.infeasible
+    return ext, bounds, state, state.infeasible
 
 
 def solve(inst: Instance, use_rules: bool = True) -> Solution:
     """Global optimum or an infeasibility verdict naming its detector."""
-    cls, ext, bounds, state, infeasible = _prepare(inst, use_rules)
+    ext, bounds, state, infeasible = _prepare(inst, use_rules)
     if infeasible is not None:
         stats = _stats(state) if state is not None else _EMPTY_STATS
         return Solution("infeasible", None, infeasible, stats)
@@ -363,7 +355,7 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
     With ``dedup`` every box contained in another returned box is dropped
     (first occurrence wins among equals), which does not change the union.
     """
-    cls, ext, bounds, state, infeasible = _prepare(inst, use_rules=True)
+    ext, bounds, state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
         return []
     lanes = _Lanes(_grid(inst), inst.n)

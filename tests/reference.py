@@ -42,7 +42,7 @@ def classify_rows(inst) -> RowClassification:
         diag = row[i - 1]
         (diag_gt if diag > target else diag_eq if diag == target else diag_lt).append(i)
     return RowClassification(
-        inst.n, support, strict, equal, tuple(diag_gt), tuple(diag_eq), tuple(diag_lt), tuple(empty)
+        inst.n, support, strict, tuple(diag_gt), tuple(diag_eq), tuple(diag_lt), tuple(empty)
     )
 
 

@@ -89,7 +89,7 @@ def test_extremals_dump(capsys):
     assert "  min anchor 9: [0, 0, 0, 0, 0, 0, 0.55, 0, 0.55, 0]" in lines
 
 
-def test_region_subcommand(capsys, infeasible_file):
+def test_region_subcommand(capsys, infeasible_file, tmp_path):
     code, out, _ = run_cli(capsys, "region", DEMO, "--json")
     assert code == 0
     doc = json.loads(out)
@@ -98,6 +98,24 @@ def test_region_subcommand(capsys, infeasible_file):
     code, out, _ = run_cli(capsys, "region", DEMO, "--json", "--no-dedup")
     assert len(json.loads(out)["cells"]) == 2
     assert run_cli(capsys, "region", infeasible_file)[0] == 1
+    # infeasible with --json: the same keys as solve --json
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"A": [["0.1"]], "b": ["0.5"], "c": ["1"]}))
+    code, out, _ = run_cli(capsys, "region", str(empty), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "status": "infeasible",
+        "infeasibility_cause": "empty-support",
+        "infeasibility_rows": [1],
+    }
+    code, out, _ = run_cli(capsys, "region", str(empty))
+    assert code == 1 and out == "infeasible: empty-support (rows 1)\n"
+    code, out, _ = run_cli(capsys, "region", infeasible_file, "--json")
+    _, solved, _ = run_cli(capsys, "solve", infeasible_file, "--json")
+    solved = json.loads(solved)
+    assert code == 1 and json.loads(out) == {
+        key: solved[key] for key in ("status", "infeasibility_cause", "infeasibility_rows")
+    }
 
 
 def test_vc_subcommand(capsys, triangle_file, tmp_path):
@@ -121,6 +139,29 @@ def test_oracle_subcommand(capsys, tmp_path, triangle_file, infeasible_file):
     code, out, _ = run_cli(capsys, "oracle", triangle_file, "--json")
     assert code == 0 and json.loads(out)["size"] == 2
     assert run_cli(capsys, "oracle", infeasible_file)[0] == 1
+    # JSON routes on the top-level key, not on a substring of the text
+    noted = tmp_path / "noted.json"
+    noted.write_text(
+        json.dumps({"A": [["0.5"]], "b": ["0.5"], "c": ["1"], "note": "adjacency of rows"})
+    )
+    code, out, _ = run_cli(capsys, "oracle", str(noted), "--json")
+    assert code == 0 and json.loads(out)["objective"] == "0.5"
+    assert run_cli(capsys, "solve", str(noted))[0] == 0
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"adjacency": [[0, 1], [1, 0]]}))
+    code, out, _ = run_cli(capsys, "oracle", str(graph), "--json")
+    assert code == 0 and json.loads(out)["size"] == 1
+    for text in ('{"A": [["0.5"]], "adjacency"', "{]"):
+        noted.write_text(text)
+        code, out, err = run_cli(capsys, "oracle", str(noted))
+        assert code == 2 and out == "" and "invalid JSON" in err
+    # --grid and --sample exclude each other
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(tiny), "--grid", "--sample", "3"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "oracle", str(tiny), "--grid", "--json")
+    assert code == 0 and json.loads(out)["objective"] == "0.55"
 
 
 def test_gen_deterministic(capsys):
@@ -182,6 +223,11 @@ def test_input_contract_enforced_at_load(capsys, tmp_path):
     assert code == 2 and "x[1]" in err
     code, _, err = run_cli(capsys, "check", DEMO, "--x", "[0, 0")
     assert code == 2 and "--x" in err
+    # a JSON list reads its numbers as the loader does: as text
+    for x in ("[1e-1000000,0,0,0,0,0,0,0,0,0]", "1e-1000000,0,0,0,0,0,0,0,0,0"):
+        code, out, err = run_cli(capsys, "check", DEMO, "--x", x)
+        assert code == 2 and out == ""
+        assert "x[1]: '1e-1000000' has an exponent beyond +-1000" in err
     for field, doc in (
         ("b[1]", '{"A": [["0.5"]], "b": ["1e5000"], "c": ["1"]}'),
         ("c[1]", '{"A": [["0.5"]], "b": ["0.5"], "c": ["1e5000"]}'),

@@ -1,7 +1,8 @@
 import itertools
 import math
 
-from hypothesis import assume, given
+import hypothesis.strategies as st
+from hypothesis import assume, given, settings
 
 from maxminfre import (
     aggregate_bounds,
@@ -22,6 +23,7 @@ from maxminfre.reduction import (
     reduce_domains,
 )
 
+from . import reference
 from .conftest import DEMO_SNAPSHOTS, DEMO_TRACE, frac, fracs, instances
 
 
@@ -166,6 +168,37 @@ def test_variant_exhaustion_verdicts_with_synthetic_bounds():
     cls2, ext2, _ = _pipeline(inst2)
     state2 = apply_bound_rules(initial_state(ext2, cls2), fake)
     assert state2.infeasible is not None and state2.infeasible.cause == CAUSE_LT_VARIANTS
+
+
+@st.composite
+def instance_with_synthetic_bounds(draw):
+    """An instance with caller-made bound vectors: every component is drawn
+    from {0, 1}, the targets, and 0.05, 0.95 and 0.333, which need not be
+    values of the instance."""
+    inst = draw(instances(max_n=5))
+    component = st.sampled_from(sorted({*inst.b, *fracs(0, 1, "0.05", "0.95", "0.333")}))
+    vec = st.lists(component, min_size=inst.n, max_size=inst.n).map(tuple)
+    return inst, BoundVectors(lower_gt=draw(vec), upper_gt=draw(vec), lower_eq=draw(vec))
+
+
+@settings(max_examples=300)
+@given(instance_with_synthetic_bounds())
+def test_rules_match_reference_on_synthetic_bounds(case):
+    inst, bounds = case
+    cls = classify_rows(inst)
+    ext = extremal_solutions(inst, cls)
+    state = reduce_domains(inst, cls, ext, bounds)
+    expected = reference.reduce_domains(inst, cls, ext, bounds)
+    assert [(e.rule, e.target, e.removed, e.witness) for e in state.trace] == [
+        (e.rule, e.target, e.removed, e.witness) for e in expected.trace
+    ]
+    assert state.snapshots == expected.snapshots
+    assert state.infeasible == expected.infeasible
+    assert (state.eq_dom, state.lt_dom, state.anchor_dom) == (
+        expected.eq_dom,
+        expected.lt_dom,
+        expected.anchor_dom,
+    )
 
 
 def test_rules_silent_on_constant_targets():
