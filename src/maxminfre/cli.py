@@ -33,7 +33,7 @@ from .oracle import (
     grid_optimum,
     sample_feasibility,
 )
-from .reduction import Infeasibility, reduce_domains
+from .reduction import CAUSE_EMPTY_SUPPORT, Infeasibility, reduce_domains
 from .solver import Solution, feasible_region, solve
 from .vertexcover import (
     GraphError,
@@ -161,7 +161,7 @@ def cmd_reduce(args) -> int:
     inst = load_instance(args.instance)
     cls = classify_rows(inst)
     if cls.empty_support:
-        print(f"infeasible: empty-support (rows {list(cls.empty_support)})")
+        print(f"infeasible: {Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support).describe()}")
         return INFEASIBLE
     ext = extremal_solutions(inst, cls)
     bounds = aggregate_bounds(ext, cls)
@@ -202,7 +202,7 @@ def cmd_extremals(args) -> int:
             for j in cls.support[i]:
                 print(f"  min anchor {j}: {_flat(vector_str(ext.min_anchor[i, j]))}")
     if cls.empty_support:
-        print(f"infeasible: empty-support (rows {list(cls.empty_support)})")
+        print(f"infeasible: {Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support).describe()}")
         return INFEASIBLE
     return OK
 
@@ -253,6 +253,8 @@ def cmd_oracle(args) -> int:
     doc = parse_json(text) if text.lstrip().startswith("{") else None
     if doc is None or "adjacency" in doc:
         graph = load_graph(text)
+        if args.sample is not None:
+            raise GraphError("--sample needs an instance file, not a graph")
         oracle = brute_force_cover(graph)
         _emit({"size": oracle.size, "cover": list(oracle.cover)}, args.json)
         return OK

@@ -232,6 +232,44 @@ class Cell:
         return vec_le(self.lower, other.lower) and vec_le(other.upper, self.upper)
 
 
+class Lanes:
+    """Rank vectors over one rank table, each packed into one int: coordinate
+    j holds its rank in bits [j(w+1), j(w+1) + w) under a zero guard bit."""
+
+    def __init__(self, table: dict[tuple[int, int], int], n: int):
+        self.table = table
+        self.grid = tuple([Fraction(p, q) for p, q in table])  # ascending: grid[r] has rank r
+        self.w = w = (len(table) - 1).bit_length()
+        self.lane = (1 << w) - 1
+        self.shifts = range(0, n * (w + 1), w + 1)
+        self.guards = sum(1 << (shift + w) for shift in self.shifts)
+
+    def pack(self, ranks: tuple[int, ...]) -> int:
+        return sum(r << shift for r, shift in zip(ranks, self.shifts))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        return tuple((packed >> shift) & self.lane for shift in self.shifts)
+
+    def le(self, a: int, b: int) -> bool:
+        """a <= b on every lane: no guard bit of (b | guards) - a is borrowed."""
+        return ((b | self.guards) - a) & self.guards == self.guards
+
+    def _ge_mask(self, a: int, b: int) -> int:
+        """All rank bits of the lanes where a >= b."""
+        return ((((a | self.guards) - b) & self.guards) >> self.w) * self.lane
+
+    def max(self, a: int, b: int) -> int:
+        mask = self._ge_mask(a, b)
+        return (a & mask) | (b & ~mask)
+
+    def min(self, a: int, b: int) -> int:
+        mask = self._ge_mask(a, b)
+        return (b & mask) | (a & ~mask)
+
+    def decode(self, lower: int, upper: int) -> Cell:
+        return Cell(*(tuple(self.grid[r] for r in self.unpack(side)) for side in (lower, upper)))
+
+
 def cell_of(bounds: BoundVectors, sel: SelectorBounds) -> Cell:
     return Cell(
         lower=vec_max(bounds.lower, sel.lower_lt),

@@ -7,7 +7,7 @@ remove selector values that can only produce empty boxes; they never remove
 an admissible selection.  Removed values leave the row's domain; the
 extremal vectors that the values stand for (``ExtremalSet``) never change,
 and each equals its row's target b_i wherever it is not 0 or 1, so the rules
-compare row targets, read through one rank view (``_ranked_targets``).
+compare row targets with the bounds.
 
 Rule summary (targets in parentheses):
 
@@ -24,15 +24,15 @@ Rule summary (targets in parentheses):
 Rules fire in a single pass each, in ascending index order, following the
 solve pipeline: 1, 2, 3, then 4+5, then 6+7.  Emptied domains are recorded
 as infeasibility verdicts, never raised.  Every rule compares integer ranks
-(``exact.rank_table``) of the targets and bounds, never ``Fraction``s.
+from the solve's one rank table (``initial_state``), never ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import Vec, rank_table, ranked
-from .extremals import BoundVectors, ExtremalSet, RowClassification
+from .exact import ONE, ZERO, rank_table, ranked
+from .extremals import BoundVectors, ExtremalSet, Lanes, RowClassification
 from .model import Instance
 
 CAUSE_EMPTY_SUPPORT = "empty-support"
@@ -70,6 +70,10 @@ class TraceEvent:
 class ReductionState:
     ext: ExtremalSet  # the vectors that every selector value stands for
     cls: RowClassification  # the row classes and supports the rules read
+    lanes: Lanes  # the solve's one rank table, packed for the frontier
+    lower: tuple[int, ...]  # ranks of the combined lower bound
+    upper: tuple[int, ...]  # ranks of the diag_gt upper bound
+    target: dict[int, int]  # diag_eq/diag_lt row -> rank of its target b_i
     eq_dom: dict[int, tuple[int, ...]]  # diag_eq row -> surviving variants
     lt_dom: dict[int, tuple[int, ...]]  # diag_lt row -> surviving variants
     anchor_dom: dict[int, tuple[int, ...]]  # diag_lt row -> surviving anchors
@@ -116,10 +120,22 @@ class ReductionState:
             dom[row] = tuple(v for v in dom[row] if v not in values)
 
 
-def initial_state(ext: ExtremalSet, cls: RowClassification) -> ReductionState:
+def initial_state(
+    ext: ExtremalSet, cls: RowClassification, bounds: BoundVectors
+) -> ReductionState:
+    """Full domains, and one rank table of every value the rules and the
+    frontier compare: 0, 1, the bound components and the diag_eq/diag_lt
+    targets, each read at the row's own coordinate of its variant-1 maximal."""
+    rows = cls.diag_eq + cls.diag_lt
+    targets = tuple([ext.max_pin[i][i - 1] for i in rows])
+    lanes = Lanes(rank_table((ZERO, ONE, *bounds.lower, *bounds.upper_gt, *targets)), cls.n)
     state = ReductionState(
         ext=ext,
         cls=cls,
+        lanes=lanes,
+        lower=ranked(lanes.table, bounds.lower),
+        upper=ranked(lanes.table, bounds.upper_gt),
+        target=dict(zip(rows, ranked(lanes.table, targets))),
         eq_dom={i: (1, 2) for i in cls.diag_eq},
         lt_dom={i: (1, 2) for i in cls.diag_lt},
         anchor_dom={i: tuple(cls.support[i]) for i in cls.diag_lt},
@@ -140,17 +156,7 @@ def _exhaustion(state: ReductionState, *checks: tuple[str, dict]) -> None:
             return
 
 
-def _ranked_targets(state: ReductionState, bound: Vec) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Rank ``bound`` and the target b_i of every diag_eq/diag_lt row on one
-    table: (the bound's ranks, row -> target rank).  Each target is read at
-    the row's own coordinate of its variant-1 maximal."""
-    rows = state.eq_rows + state.lt_rows
-    targets = tuple([state.ext.max_pin[i][i - 1] for i in rows])
-    table = rank_table(bound + targets)
-    return ranked(table, bound), dict(zip(rows, ranked(table, targets)))
-
-
-def apply_bound_rules(state: ReductionState, bounds: BoundVectors) -> ReductionState:
+def apply_bound_rules(state: ReductionState) -> ReductionState:
     """Rules 1 and 2: kill maximal variants crossed by the combined lower bound.
 
     A maximal differs from 1 only at its row (variant 1) or at the row's
@@ -158,8 +164,7 @@ def apply_bound_rules(state: ReductionState, bounds: BoundVectors) -> ReductionS
     exceeds 1, so only those coordinates can be crossed; they are scanned in
     ascending order, which keeps the first crossing as the witness.
     """
-    strict = state.cls.support_strict
-    lower, target = _ranked_targets(state, bounds.lower)
+    strict, lower, target = state.cls.support_strict, state.lower, state.target
     for rule, dom, rows in ((1, state.eq_dom, state.eq_rows), (2, state.lt_dom, state.lt_rows)):
         hits = []
         for row in rows:
@@ -175,10 +180,10 @@ def apply_bound_rules(state: ReductionState, bounds: BoundVectors) -> ReductionS
     return state
 
 
-def apply_minimal_rule3(state: ReductionState, bounds: BoundVectors) -> ReductionState:
+def apply_minimal_rule3(state: ReductionState) -> ReductionState:
     """Rule 3: kill anchors whose minimal solution crosses the diag_gt upper
     bound; the minimal anchored at j holds the row target at j."""
-    upper, target = _ranked_targets(state, bounds.upper_gt)
+    upper, target = state.upper, state.target
     hits = [
         (row, j, (j,))
         for row in state.lt_rows
@@ -199,8 +204,7 @@ def apply_cross_rules(state: ReductionState) -> ReductionState:
     the diag_lt rows, so the first witness is the same.  Only diag_lt rows
     s qualify, and a diag_gt row has no target, so that test comes first.
     """
-    _, target = _ranked_targets(state, ())
-    lt = set(state.lt_rows)
+    target, lt = state.target, set(state.lt_rows)
     for rule, dom, rows in ((4, state.eq_dom, state.eq_rows), (5, state.lt_dom, state.lt_rows)):
         hits = []
         for r in rows:
@@ -225,7 +229,7 @@ def apply_cross_rules(state: ReductionState) -> ReductionState:
 def apply_pinned_rules(state: ReductionState) -> ReductionState:
     """Rules 6 and 7: a row pinned to variant 1 keeps its own coordinate at
     its target, so it cannot anchor a row with a strictly larger target."""
-    _, target = _ranked_targets(state, ())
+    target = state.target
     for rule, dom, rows in ((6, state.eq_dom, state.eq_rows), (7, state.lt_dom, state.lt_rows)):
         hits = [
             (s, r, (r, s))
@@ -248,11 +252,11 @@ def reduce_domains(
 ) -> ReductionState:
     """Full rule pipeline; stops early once infeasibility is recorded.  ``inst``
     is not read: the rules take the row targets from ``ext``."""
-    state = initial_state(ext, cls)
-    apply_bound_rules(state, bounds)
+    state = initial_state(ext, cls, bounds)
+    apply_bound_rules(state)
     if state.infeasible:
         return state
-    apply_minimal_rule3(state, bounds)
+    apply_minimal_rule3(state)
     if state.infeasible:
         return state
     apply_cross_rules(state)

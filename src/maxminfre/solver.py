@@ -22,26 +22,26 @@ are generated in lex order.  So the merged boxes come in stream order, their
 multiplicities sum to the admissible count, and the first box of best
 objective carries the lex-smallest triple among equal objectives.
 
-The merged walk runs on grid ranks, not on ``Fraction``s.  Every component
-of every extremal vector and of the root box lies on the finite grid
-{0, 1} union {b_i} (see ``oracle``), and the min and max of grid values are
-again grid values, so mapping each value to its index in the sorted grid is
-an order isomorphism: every cut, every merge and the frontier keys are the
-same on ranks as on values.  A value off the grid would break that argument,
-so it raises ``KeyError`` instead of being rounded.
+The merged walk runs on the ranks of the solve's one table (built by
+``reduction.initial_state``), not on ``Fraction``s.  For ``aggregate_bounds``
+output the table is the grid {0, 1} union {b_i}, which holds every component
+of every extremal vector and of the root box, and the min and max of grid
+values are again grid values, so ranking is an order isomorphism: every cut,
+every merge and the frontier keys are the same on ranks as on values.  A
+value off the table would break that argument, so it raises ``KeyError``.
 
-Each rank vector is packed into one int (``_Lanes``).  With w the bit length
-of (grid size - 1), coordinate j owns the w + 1 bits from j(w + 1) up: its
-rank in the low w bits and a zero guard bit on top.  Setting every guard bit
-of a and subtracting b leaves 2^w + a_j - b_j in lane j, which lies in
-[1, 2^(w+1) - 1], so no lane borrows from its neighbour and the guard bit
-survives exactly where a_j >= b_j.  All guards surviving is the lane-wise
-<= test; widening the survivors to whole-lane masks makes max and min two
-masked selects.  Packing is a bijection between rank vectors and ints, so
-the packed (lower, upper) keys merge exactly the states that rank tuples
-merge, in the same insertion order: the stream order and the lex-first
-tie-break above are unchanged.  Each box is scored from a table of
-c_j * grid[r] multiplied by one positive common multiple of the
+Each rank vector is packed into one int (``extremals.Lanes``).  With w the
+bit length of (grid size - 1), coordinate j owns the w + 1 bits from
+j(w + 1) up: its rank in the low w bits and a zero guard bit on top.
+Setting every guard bit of a and subtracting b leaves 2^w + a_j - b_j in
+lane j, which lies in [1, 2^(w+1) - 1], so no lane borrows from its
+neighbour and the guard bit survives exactly where a_j >= b_j.  All guards
+surviving is the lane-wise <= test; widening the survivors to whole-lane
+masks makes max and min two masked selects.  Packing is a bijection between
+rank vectors and ints, so the packed (lower, upper) keys merge exactly the
+states that rank tuples merge, in the same insertion order: the stream order
+and the lex-first tie-break above are unchanged.  Each box is scored from a
+table of c_j * grid[r] multiplied by one positive common multiple of the
 denominators, looked up by each lane's rank, which makes every entry an
 integer and keeps the order of objectives exact; only the winning box and
 the returned region boxes are unpacked and decoded back to values.
@@ -55,11 +55,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import ONE, ZERO, Vec, rank_table, ranked
+from .exact import ZERO, Vec, ranked
 from .extremals import (
     BoundVectors,
     Cell,
     ExtremalSet,
+    Lanes,
     RowClassification,
     aggregate_bounds,
     classify_rows,
@@ -139,9 +140,7 @@ def gate_feasibility(
     """Cheap necessary conditions checked before any enumeration."""
     if cls.empty_support:
         return Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support)
-    table = rank_table(bounds.lower + bounds.upper_gt)
-    lower, upper = ranked(table, bounds.lower), ranked(table, bounds.upper_gt)
-    rows = tuple(j for j, lo, up in zip(inst.rows, lower, upper) if lo > up)
+    rows = tuple(j for j, lo, up in zip(inst.rows, bounds.lower, bounds.upper_gt) if lo > up)
     return Infeasibility(CAUSE_BOUND_CROSSING, rows) if rows else None
 
 
@@ -198,57 +197,17 @@ def enumerate_admissible(
                 stack.append((box, chosen + (value,)))
 
 
-def _grid(inst: Instance) -> tuple[Fraction, ...]:
-    return tuple(sorted({ZERO, ONE, *inst.b}))
-
-
-class _Lanes:
-    """Rank vectors over one grid, each packed into one int: coordinate j
-    holds its rank in bits [j(w+1), j(w+1) + w) under a zero guard bit."""
-
-    def __init__(self, grid: tuple[Fraction, ...], n: int):
-        self.grid, self.table = grid, rank_table(grid)  # the rank of grid[r] is r
-        self.w = w = (len(grid) - 1).bit_length()
-        self.lane = (1 << w) - 1
-        self.shifts = range(0, n * (w + 1), w + 1)
-        self.guards = sum(1 << (shift + w) for shift in self.shifts)
-
-    def pack(self, vec: Vec) -> int:
-        return sum(r << shift for r, shift in zip(ranked(self.table, vec), self.shifts))
-
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        return tuple((packed >> shift) & self.lane for shift in self.shifts)
-
-    def le(self, a: int, b: int) -> bool:
-        """a <= b on every lane: no guard bit of (b | guards) - a is borrowed."""
-        return ((b | self.guards) - a) & self.guards == self.guards
-
-    def _ge_mask(self, a: int, b: int) -> int:
-        """All rank bits of the lanes where a >= b."""
-        return ((((a | self.guards) - b) & self.guards) >> self.w) * self.lane
-
-    def max(self, a: int, b: int) -> int:
-        mask = self._ge_mask(a, b)
-        return (a & mask) | (b & ~mask)
-
-    def min(self, a: int, b: int) -> int:
-        mask = self._ge_mask(a, b)
-        return (b & mask) | (a & ~mask)
-
-    def decode(self, lower: int, upper: int) -> Cell:
-        return Cell(*(tuple(self.grid[r] for r in self.unpack(side)) for side in (lower, upper)))
-
-
-def _frontier(lanes: _Lanes, state: ReductionState, bounds: BoundVectors, ext: ExtremalSet) -> dict:
+def _frontier(state: ReductionState) -> dict:
     """Packed (lower, upper) -> [multiplicity, lex-first triple as a
     backwards (value, parent) chain] for every distinct nonempty box, in
     stream order.  The box stays nonempty iff the chosen vector lies on the
     right side of the bound it does not move."""
-    lower, upper = lanes.pack(bounds.lower), lanes.pack(bounds.upper_gt)
+    lanes = state.lanes
+    lower, upper = lanes.pack(state.lower), lanes.pack(state.upper)
     frontier = {(lower, upper): [1, None]} if lanes.le(lower, upper) else {}
     le, lane_max, lane_min = lanes.le, lanes.max, lanes.min
-    for raises_lower, options in _levels(state, ext):
-        options = [(value, lanes.pack(vec)) for value, vec in options]
+    for raises_lower, options in _levels(state, state.ext):
+        options = [(value, lanes.pack(ranked(lanes.table, vec))) for value, vec in options]
         merged: dict = {}
         for (lower, upper), (count, chain) in frontier.items():
             for value, vec in options:
@@ -284,7 +243,7 @@ def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
     return Candidate(triple=triple, cell=cell, x=x, objective=objective)
 
 
-def _scorer(lanes: _Lanes, c: Vec, sense: str):
+def _scorer(lanes: Lanes, c: Vec, sense: str):
     """Exact objective of a packed box as an int, smaller is better: the box
     picks its bounds as ``make_candidate`` does, and each c_j * grid[r] is
     multiplied by the lcm of the c denominators times the lcm of the grid
@@ -308,30 +267,28 @@ def _scorer(lanes: _Lanes, c: Vec, sense: str):
 
 
 def _prepare(inst: Instance, use_rules: bool):
+    """(state, verdict); the state is None when the gate decides."""
     cls = classify_rows(inst)
-    if cls.empty_support:
-        return None, None, None, Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support)
     ext = extremal_solutions(inst, cls)
     bounds = aggregate_bounds(ext, cls)
     gate = gate_feasibility(inst, cls, bounds)
     if gate is not None:
-        return ext, bounds, None, gate
+        return None, gate
     if use_rules:
         state = reduce_domains(inst, cls, ext, bounds)
     else:
-        state = initial_state(ext, cls)
-    return ext, bounds, state, state.infeasible
+        state = initial_state(ext, cls, bounds)
+    return state, state.infeasible
 
 
 def solve(inst: Instance, use_rules: bool = True) -> Solution:
     """Global optimum or an infeasibility verdict naming its detector."""
-    ext, bounds, state, infeasible = _prepare(inst, use_rules)
+    state, infeasible = _prepare(inst, use_rules)
     if infeasible is not None:
         stats = _stats(state) if state is not None else _EMPTY_STATS
         return Solution("infeasible", None, infeasible, stats)
 
-    lanes = _Lanes(_grid(inst), inst.n)
-    frontier = _frontier(lanes, state, bounds, ext)
+    frontier = _frontier(state)
     stats = _stats(
         state,
         admissible=sum(count for count, _ in frontier.values()),
@@ -339,11 +296,11 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
     )
     if not frontier:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
-    score = _scorer(lanes, inst.c, inst.sense)
+    score = _scorer(state.lanes, inst.c, inst.sense)
     # min keeps the first of equal scores: the lex-first triple wins ties
     box, (_, chain) = min(frontier.items(), key=lambda item: score(item[0]))
     best = make_candidate(
-        _triple(state, _choices(chain)), lanes.decode(*box), inst.c, inst.sense
+        _triple(state, _choices(chain)), state.lanes.decode(*box), inst.c, inst.sense
     )
     return Solution("optimal", best, None, stats)
 
@@ -355,13 +312,12 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
     With ``dedup`` every box contained in another returned box is dropped
     (first occurrence wins among equals), which does not change the union.
     """
-    ext, bounds, state, infeasible = _prepare(inst, use_rules=True)
+    state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
         return []
-    lanes = _Lanes(_grid(inst), inst.n)
-    boxes = list(_frontier(lanes, state, bounds, ext))
+    boxes = list(_frontier(state))
     if dedup:  # packed until the end: dominance is the same on ranks
-        le = lanes.le
+        le = state.lanes.le
         kept: list = []
         for lower, upper in boxes:
             if any(le(lo, lower) and le(upper, up) for lo, up in kept):
@@ -369,4 +325,4 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
             kept = [(lo, up) for lo, up in kept if not (le(lower, lo) and le(up, upper))]
             kept.append((lower, upper))
         boxes = kept
-    return [lanes.decode(lower, upper) for lower, upper in boxes]
+    return [state.lanes.decode(lower, upper) for lower, upper in boxes]

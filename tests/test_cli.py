@@ -89,6 +89,17 @@ def test_extremals_dump(capsys):
     assert "  min anchor 9: [0, 0, 0, 0, 0, 0, 0.55, 0, 0.55, 0]" in lines
 
 
+def test_empty_support_verdict_line(capsys, tmp_path):
+    # reduce and extremals print the verdict as region does
+    path = tmp_path / "empty.json"
+    path.write_text(
+        json.dumps({"A": [["0.1", "0.2"], ["0.3", "0.9"]], "b": ["0.5", "0.4"], "c": ["1", "1"]})
+    )
+    for command in ("reduce", "extremals", "region"):
+        code, out, _ = run_cli(capsys, command, str(path))
+        assert code == 1 and out.splitlines()[-1] == "infeasible: empty-support (rows 1)"
+
+
 def test_region_subcommand(capsys, infeasible_file, tmp_path):
     code, out, _ = run_cli(capsys, "region", DEMO, "--json")
     assert code == 0
@@ -138,6 +149,10 @@ def test_oracle_subcommand(capsys, tmp_path, triangle_file, infeasible_file):
     assert code == 0 and json.loads(out)["agreed"]
     code, out, _ = run_cli(capsys, "oracle", triangle_file, "--json")
     assert code == 0 and json.loads(out)["size"] == 2
+    # sampling checks an instance's boxes; a graph has none
+    for k in ("0", "5"):
+        code, out, err = run_cli(capsys, "oracle", triangle_file, "--sample", k)
+        assert code == 2 and out == "" and "--sample" in err
     assert run_cli(capsys, "oracle", infeasible_file)[0] == 1
     # JSON routes on the top-level key, not on a substring of the text
     noted = tmp_path / "noted.json"

@@ -1,5 +1,6 @@
 """Differential tests: the rank-based classification, extremals, bounds,
-gate and rules against the Fraction-compare reference in ``reference``."""
+gate and rules against the Fraction-compare reference in ``reference``, and
+the solve's rank table against the oracle's value grid."""
 
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from maxminfre import (
     reduce_domains,
 )
 from maxminfre.generate import random_fre_doc
+from maxminfre.oracle import value_grid
 
 from . import reference
 from .conftest import fine_instances, instances
@@ -35,6 +37,8 @@ def _assert_same_stages(inst):
     assert gate_feasibility(inst, cls, bounds) == reference.gate_feasibility(inst, cls, bounds)
 
     state = reduce_domains(inst, cls, ext, bounds)
+    # the frontier's order isomorphism: the one table holds exactly the grid
+    assert state.lanes.grid == value_grid(inst)
     expected = reference.reduce_domains(inst, cls, ext, bounds)
     assert [(e.rule, e.target, e.removed, e.witness) for e in state.trace] == [
         (e.rule, e.target, e.removed, e.witness) for e in expected.trace

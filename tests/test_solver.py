@@ -22,8 +22,8 @@ from maxminfre import (
     solve_cover,
     verify_structure,
 )
-from maxminfre.exact import ONE, ZERO
-from maxminfre.extremals import BoundVectors, Cell, vec_le, vec_max, vec_min
+from maxminfre.exact import ONE, ZERO, rank_table, ranked
+from maxminfre.extremals import BoundVectors, Cell, Lanes, vec_le, vec_max, vec_min
 from maxminfre.generate import random_fre_doc, random_graph_edges
 from maxminfre.oracle import specialized_cover
 from maxminfre.reduction import (
@@ -33,7 +33,7 @@ from maxminfre.reduction import (
     initial_state,
     reduce_domains,
 )
-from maxminfre.solver import _Lanes, enumerate_admissible
+from maxminfre.solver import enumerate_admissible
 
 from .conftest import (
     DEMO_OBJECTIVE,
@@ -107,7 +107,7 @@ def test_enumeration_streams_in_lexicographic_order(demo10):
 def test_enumeration_matches_cross_product_filter(inst):
     cls, ext, bounds = _prep(inst)
     assume(not cls.empty_support)
-    state = initial_state(ext, cls)
+    state = initial_state(ext, cls, bounds)
     total = 1
     for dom in (
         [cls.support[i] for i in cls.diag_lt]
@@ -296,10 +296,12 @@ def test_integer_objective_matches_stream_scan(inst):
 
 
 def test_value_off_the_grid_fails_loudly(demo10, monkeypatch):
-    import maxminfre.solver as solver
+    import maxminfre.reduction as reduction
 
-    on_grid = solver._grid(demo10)
-    monkeypatch.setattr(solver, "_grid", lambda inst: on_grid[:1] + on_grid[2:])
+    def drop_second_value(values):  # the per-solve table without its rank-1 value
+        return {pq: r for pq, r in rank_table(values).items() if r != 1}
+
+    monkeypatch.setattr(reduction, "rank_table", drop_second_value)
     with pytest.raises(KeyError):
         solve(demo10)
     with pytest.raises(KeyError):
@@ -322,8 +324,10 @@ def lane_cases(draw):
 def test_packed_lanes_match_rank_vectors(case):
     size, a, b = case
     grid = tuple(Fraction(r, size - 1) for r in range(size))
-    lanes = _Lanes(grid, len(a))
-    packed_a, packed_b = (lanes.pack(tuple(grid[r] for r in v)) for v in (a, b))
+    lanes = Lanes(rank_table(grid), len(a))
+    packed_a, packed_b = (
+        lanes.pack(ranked(lanes.table, tuple(grid[r] for r in v))) for v in (a, b)
+    )
     assert lanes.unpack(packed_a) == a
     assert lanes.unpack(lanes.max(packed_a, packed_b)) == vec_max(a, b)
     assert lanes.unpack(lanes.min(packed_a, packed_b)) == vec_min(a, b)
