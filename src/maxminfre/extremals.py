@@ -239,10 +239,12 @@ class Lanes:
     def __init__(self, table: dict[tuple[int, int], int], n: int):
         self.table = table
         self.grid = tuple([Fraction(p, q) for p, q in table])  # ascending: grid[r] has rank r
-        self.w = w = (len(table) - 1).bit_length()
+        self.top = len(table) - 1  # the rank of 1, the largest value
+        self.w = w = self.top.bit_length()
         self.lane = (1 << w) - 1
         self.shifts = range(0, n * (w + 1), w + 1)
-        self.guards = sum(1 << (shift + w) for shift in self.shifts)
+        self.unit = sum(1 << shift for shift in self.shifts)  # rank 1 on every lane
+        self.guards = self.unit << w
 
     def pack(self, ranks: tuple[int, ...]) -> int:
         return sum(r << shift for r, shift in zip(ranks, self.shifts))
@@ -254,16 +256,16 @@ class Lanes:
         """a <= b on every lane: no guard bit of (b | guards) - a is borrowed."""
         return ((b | self.guards) - a) & self.guards == self.guards
 
-    def _ge_mask(self, a: int, b: int) -> int:
+    def ge_mask(self, a: int, b: int) -> int:
         """All rank bits of the lanes where a >= b."""
         return ((((a | self.guards) - b) & self.guards) >> self.w) * self.lane
 
     def max(self, a: int, b: int) -> int:
-        mask = self._ge_mask(a, b)
+        mask = self.ge_mask(a, b)
         return (a & mask) | (b & ~mask)
 
     def min(self, a: int, b: int) -> int:
-        mask = self._ge_mask(a, b)
+        mask = self.ge_mask(a, b)
         return (b & mask) | (a & ~mask)
 
     def decode(self, lower: int, upper: int) -> Cell:

@@ -68,7 +68,6 @@ class TraceEvent:
 
 @dataclass
 class ReductionState:
-    ext: ExtremalSet  # the vectors that every selector value stands for
     cls: RowClassification  # the row classes and supports the rules read
     lanes: Lanes  # the solve's one rank table, packed for the frontier
     lower: tuple[int, ...]  # ranks of the combined lower bound
@@ -130,7 +129,6 @@ def initial_state(
     targets = tuple([ext.max_pin[i][i - 1] for i in rows])
     lanes = Lanes(rank_table((ZERO, ONE, *bounds.lower, *bounds.upper_gt, *targets)), cls.n)
     state = ReductionState(
-        ext=ext,
         cls=cls,
         lanes=lanes,
         lower=ranked(lanes.table, bounds.lower),

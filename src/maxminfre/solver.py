@@ -1,7 +1,8 @@
 """End-to-end solve pipeline.
 
 classify -> extremals -> bounds -> feasibility gates -> rules -> selector
-levels -> distinct boxes -> per-box candidate -> best objective.  A
+levels -> merged states scored coordinate by coordinate -> the winning
+box's candidate.  A
 selector triple (anchor assignment, diag_eq variants, diag_lt variants) is
 admissible when its box is nonempty; by construction the feasible region is
 exactly the union of those boxes, and some admissible triple's candidate
@@ -12,23 +13,58 @@ partial box's lower bound, then eq rows and lt rows lower its upper bound,
 and a choice is cut as soon as the box is empty somewhere.  A depth-first
 walk (``enumerate_admissible``) streams every admissible triple in lex order;
 it is the reference that the merged walk below is checked against.
-``solve`` and ``feasible_region`` build the table level by level instead,
-merging prefixes that reach the same partial box, since what follows depends
-only on the box.  Expanding each level's states in insertion order, values
+``feasible_region`` builds the table level by level instead, merging
+prefixes that reach the same partial box, since what follows depends only on
+the box.  Expanding each level's states in insertion order, values
 ascending, reaches every state first through its lex-smallest prefix, by
 induction over the levels: a prefix through parent state R is no smaller
 than R's lex-first prefix extended by the same value, and those extensions
-are generated in lex order.  So the merged boxes come in stream order, their
-multiplicities sum to the admissible count, and the first box of best
-objective carries the lex-smallest triple among equal objectives.
+are generated in lex order.  So the merged boxes come in stream order and
+their multiplicities sum to the admissible count.
+
+``solve`` runs the same walk on projected states.  The objective is a sum of
+one term per coordinate.  After the last level that can move coordinate j
+(a raising level with some value of rank > 0 at j, a lowering level with
+some value below the top rank there; the first level if none can), j's
+bounds are final and already checked, and they fix j's term.  The walk adds that term to the state's
+running score and masks j's lanes to zero in both halves of the key.  Three
+facts keep this exact:
+
+* Masked lanes are no-ops for later cuts.  Every later value holds rank 0
+  (raising) or the top rank (lowering) at j, so on j's lanes a cut compares
+  0 <= 0 or 0 <= top, and max(0, 0) and min(0, top) leave them 0; the other
+  lanes see the same cut as on the full key.
+* Merged states share futures.  States with the same masked key take the
+  same cuts at every later level and gain the same later terms, so a full
+  triple scores the state's running score plus a term fixed by the key and
+  the suffix.  A merged state sums the counts and keeps the best (score,
+  prefix): under any common suffix the prefix smaller in score, then in lex
+  order, gives the smaller triple, since the prefixes have equal length.
+* (parent index, value) orders prefixes.  Each level is kept sorted by the
+  lex order of its states' kept prefixes, which are distinct, so a kept
+  prefix extended by one value sorts by its parent's index, then by the
+  value.  States are expanded in that order, so each new state first meets
+  its smallest candidate, and a later candidate replaces it only with a
+  strictly smaller score.  When one did, the level is sorted again on the
+  (parent index, value) of each kept prefix.
+
+After the last level every coordinate is masked, so at most one state is
+left: its count is the admissible count, its score the optimum, and its
+prefix the lex-smallest triple among the optimal ones, the one the stream
+order ranks first.  ``solve`` replays that prefix through the levels to
+rebuild its box and builds the one candidate.
 
 The merged walk runs on the ranks of the solve's one table (built by
 ``reduction.initial_state``), not on ``Fraction``s.  For ``aggregate_bounds``
 output the table is the grid {0, 1} union {b_i}, which holds every component
 of every extremal vector and of the root box, and the min and max of grid
 values are again grid values, so ranking is an order isomorphism: every cut,
-every merge and the frontier keys are the same on ranks as on values.  A
-value off the table would break that argument, so it raises ``KeyError``.
+every merge and the frontier keys are the same on ranks as on values.  The
+levels are built from the row targets' ranks and the supports: an anchored
+minimal is rank 0 except the target at its row and anchor, a maximal is the
+top rank except the target at its row (variant 1) or on the row's strict
+support (variant 2).  A value off the table would break the argument, so it
+raises ``KeyError``.
 
 Each rank vector is packed into one int (``extremals.Lanes``).  With w the
 bit length of (grid size - 1), coordinate j owns the w + 1 bits from
@@ -39,10 +75,9 @@ neighbour and the guard bit survives exactly where a_j >= b_j.  All guards
 surviving is the lane-wise <= test; widening the survivors to whole-lane
 masks makes max and min two masked selects.  Packing is a bijection between
 rank vectors and ints, so the packed (lower, upper) keys merge exactly the
-states that rank tuples merge, in the same insertion order: the stream order
-and the lex-first tie-break above are unchanged.  Each box is scored from a
+states that rank tuples merge, in the same order.  Each term is read from a
 table of c_j * grid[r] multiplied by one positive common multiple of the
-denominators, looked up by each lane's rank, which makes every entry an
+denominators, looked up by the lane's rank, which makes every entry an
 integer and keeps the order of objectives exact; only the winning box and
 the returned region boxes are unpacked and decoded back to values.
 """
@@ -55,7 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import ZERO, Vec, ranked
+from .exact import ZERO, Vec
 from .extremals import (
     BoundVectors,
     Cell,
@@ -156,18 +191,35 @@ def _stats(state: ReductionState, admissible: int = 0, enumerated: int = 0) -> S
     )
 
 
-def _levels(state: ReductionState, ext: ExtremalSet) -> list:
+def _levels(state: ReductionState, anchor, maximal) -> list:
     """One (raises_lower, ((value, vector), ...)) level per selector row:
-    anchor rows raise ``lower``, then eq rows and lt rows lower ``upper``;
-    values ascend within a level."""
+    anchor rows raise ``lower`` by ``anchor(row, column)``, then eq rows and
+    lt rows lower ``upper`` by ``maximal(row, variant)``; values ascend
+    within a level."""
     return (
         [
-            (True, tuple((j, ext.min_anchor[i, j]) for j in state.anchor_dom[i]))
+            (True, tuple((j, anchor(i, j)) for j in state.anchor_dom[i]))
             for i in state.lt_rows
         ]
-        + [(False, tuple((v, ext.maximal(i, v)) for v in state.eq_dom[i])) for i in state.eq_rows]
-        + [(False, tuple((v, ext.maximal(i, v)) for v in state.lt_dom[i])) for i in state.lt_rows]
+        + [(False, tuple((v, maximal(i, v)) for v in state.eq_dom[i])) for i in state.eq_rows]
+        + [(False, tuple((v, maximal(i, v)) for v in state.lt_dom[i])) for i in state.lt_rows]
     )
+
+
+def _packed_levels(state: ReductionState) -> list:
+    """``_levels`` on packed ranks, built from the targets and supports."""
+    lanes, target, strict = state.lanes, state.target, state.cls.support_strict
+    shifts, top = lanes.shifts, lanes.top
+    ones = top * lanes.unit
+
+    def anchor(i: int, j: int) -> int:
+        return (target[i] << shifts[i - 1]) | (target[i] << shifts[j - 1])
+
+    def maximal(i: int, variant: int) -> int:
+        coords = (i,) if variant == 1 else strict[i]
+        return ones - sum((top - target[i]) << shifts[j - 1] for j in coords)
+
+    return _levels(state, anchor, maximal)
 
 
 def _triple(state: ReductionState, values: tuple[int, ...]) -> Triple:
@@ -182,7 +234,7 @@ def enumerate_admissible(
     ext: ExtremalSet,
 ) -> Iterator[tuple[Triple, Cell]]:
     """Yield (triple, nonempty box) over the reduced domains in lex order."""
-    levels = _levels(state, ext)
+    levels = _levels(state, lambda i, j: ext.min_anchor[i, j], ext.maximal)
     root = (bounds.lower, bounds.upper_gt)
     stack = [(root, ())] if vec_le(*root) else []
     while stack:
@@ -197,27 +249,81 @@ def enumerate_admissible(
                 stack.append((box, chosen + (value,)))
 
 
-def _frontier(state: ReductionState) -> dict:
-    """Packed (lower, upper) -> [multiplicity, lex-first triple as a
-    backwards (value, parent) chain] for every distinct nonempty box, in
-    stream order.  The box stays nonempty iff the chosen vector lies on the
-    right side of the bound it does not move."""
+def _projection(lanes: Lanes, levels: list, picks: list) -> list:
+    """(keep, dropped) after each level: ``keep`` masks the lanes that some
+    later level can still move, ``dropped`` lists the picks of the
+    coordinates that no later level moves, each coordinate once (those that
+    no level moves go with the first level)."""
+    ones = lanes.top * lanes.unit
+    everything = lanes.lane * lanes.unit
+    step = lanes.w + 1
+
+    def dropped(mask: int) -> list:
+        out = []
+        while mask:
+            j = ((mask & -mask).bit_length() - 1) // step
+            out.append(picks[j])
+            mask &= ~(lanes.lane << (j * step))
+        return out
+
+    later, steps = 0, []
+    for raises_lower, options in levels[:0:-1]:  # every level but the first, last first
+        moved = 0
+        for _, vec in options:
+            if raises_lower:
+                moved |= lanes.ge_mask(vec, lanes.unit)
+            else:
+                moved |= everything & ~lanes.ge_mask(vec, ones)
+        steps.append((later, dropped(moved & ~later)))
+        later |= moved
+    if levels:
+        steps.append((later, dropped(everything & ~later)))
+    return steps[::-1]
+
+
+def _frontier(state: ReductionState, levels: list, picks: list | None = None) -> dict:
+    """Packed (lower, upper) -> [multiplicity, score, lex-first choices as a
+    backwards (value, parent) chain, parent index] for every distinct
+    nonempty state after the last level.  The box stays nonempty iff the
+    chosen vector lies on the right side of the bound it does not move.
+
+    Without ``picks`` the keys are whole boxes in stream order; with the
+    per-coordinate ``(shift, side, table)`` picks each coordinate's term is
+    scored and its lanes masked once no later level moves it."""
     lanes = state.lanes
+    le, lane_max, lane_min, lane = lanes.le, lanes.max, lanes.min, lanes.lane
     lower, upper = lanes.pack(state.lower), lanes.pack(state.upper)
-    frontier = {(lower, upper): [1, None]} if lanes.le(lower, upper) else {}
-    le, lane_max, lane_min = lanes.le, lanes.max, lanes.min
-    for raises_lower, options in _levels(state, state.ext):
-        options = [(value, lanes.pack(ranked(lanes.table, vec))) for value, vec in options]
+    if not le(lower, upper):
+        return {}
+    steps = [(-1, ())] * len(levels) if picks is None else _projection(lanes, levels, picks)
+    frontier = {(lower, upper): [1, 0, None, 0]}
+    for (raises_lower, options), (keep, dropped) in zip(levels, steps):
         merged: dict = {}
-        for (lower, upper), (count, chain) in frontier.items():
+        resort = False
+        for index, ((lower, upper), (count, score, chain, _)) in enumerate(frontier.items()):
             for value, vec in options:
-                if raises_lower and le(vec, upper):
-                    box = (lane_max(lower, vec), upper)
-                elif not raises_lower and le(lower, vec):
-                    box = (lower, lane_min(upper, vec))
+                if raises_lower:
+                    if not le(vec, upper):
+                        continue
+                    lo, up = lane_max(lower, vec), upper
                 else:
-                    continue
-                merged.setdefault(box, [0, (value, chain)])[0] += count
+                    if not le(lower, vec):
+                        continue
+                    lo, up = lower, lane_min(upper, vec)
+                total = score
+                for shift, side, table in dropped:
+                    total += table[((up if side else lo) >> shift) & lane]
+                box = (lo & keep, up & keep)
+                entry = merged.get(box)
+                if entry is None:
+                    merged[box] = [count, total, (value, chain), index]
+                else:
+                    entry[0] += count
+                    if total < entry[1]:
+                        entry[1:] = total, (value, chain), index
+                        resort = True
+        if resort:
+            merged = dict(sorted(merged.items(), key=lambda item: (item[1][3], item[1][2][0])))
         frontier = merged
     return frontier
 
@@ -243,12 +349,14 @@ def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
     return Candidate(triple=triple, cell=cell, x=x, objective=objective)
 
 
-def _scorer(lanes: Lanes, c: Vec, sense: str):
-    """Exact objective of a packed box as an int, smaller is better: the box
-    picks its bounds as ``make_candidate`` does, and each c_j * grid[r] is
-    multiplied by the lcm of the c denominators times the lcm of the grid
-    denominators, which makes it an integer (negated for max)."""
-    grid, lane = lanes.grid, lanes.lane
+def _picks(lanes: Lanes, c: Vec, sense: str) -> list:
+    """Per coordinate (shift, side, table): the exact objective term of a
+    packed box as an int, smaller is better, is ``table[rank]`` of the lane
+    at ``shift`` in ``box[side]``.  The box picks its bounds as
+    ``make_candidate`` does, and each c_j * grid[r] is multiplied by the lcm
+    of the c denominators times the lcm of the grid denominators, which
+    makes it an integer (negated for max)."""
+    grid = lanes.grid
     c_scale = math.lcm(*(cj.denominator for cj in c))
     g_scale = math.lcm(*(value.denominator for value in grid))
     grid_ints = [value.numerator * (g_scale // value.denominator) for value in grid]
@@ -259,11 +367,7 @@ def _scorer(lanes: Lanes, c: Vec, sense: str):
         weight = sign * cj.numerator * (c_scale // cj.denominator)
         side = 0 if (cj >= ZERO) == take_lower_on_nonneg else 1
         picks.append((shift, side, [weight * g for g in grid_ints]))
-
-    def score(box) -> int:
-        return sum(table[(box[side] >> shift) & lane] for shift, side, table in picks)
-
-    return score
+    return picks
 
 
 def _prepare(inst: Instance, use_rules: bool):
@@ -288,20 +392,25 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
         stats = _stats(state) if state is not None else _EMPTY_STATS
         return Solution("infeasible", None, infeasible, stats)
 
-    frontier = _frontier(state)
+    lanes, levels = state.lanes, _packed_levels(state)
+    frontier = _frontier(state, levels, _picks(lanes, inst.c, inst.sense))
     stats = _stats(
         state,
-        admissible=sum(count for count, _ in frontier.values()),
+        admissible=sum(entry[0] for entry in frontier.values()),
         enumerated=math.prod(state.cardinalities()),
     )
     if not frontier:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
-    score = _scorer(state.lanes, inst.c, inst.sense)
-    # min keeps the first of equal scores: the lex-first triple wins ties
-    box, (_, chain) = min(frontier.items(), key=lambda item: score(item[0]))
-    best = make_candidate(
-        _triple(state, _choices(chain)), state.lanes.decode(*box), inst.c, inst.sense
-    )
+    ((_, _, chain, _),) = frontier.values()  # every coordinate is masked
+    choices = _choices(chain)
+    lower, upper = lanes.pack(state.lower), lanes.pack(state.upper)
+    for (raises_lower, options), value in zip(levels, choices):
+        vec = dict(options)[value]
+        if raises_lower:
+            lower = lanes.max(lower, vec)
+        else:
+            upper = lanes.min(upper, vec)
+    best = make_candidate(_triple(state, choices), lanes.decode(lower, upper), inst.c, inst.sense)
     return Solution("optimal", best, None, stats)
 
 
@@ -315,7 +424,7 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
     state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
         return []
-    boxes = list(_frontier(state))
+    boxes = list(_frontier(state, _packed_levels(state)))
     if dedup:  # packed until the end: dominance is the same on ranks
         le = state.lanes.le
         kept: list = []

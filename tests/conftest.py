@@ -10,7 +10,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, settings
 
-from maxminfre import Instance, load_instance
+from maxminfre import Instance, load_instance, make_graph
+from maxminfre.generate import random_graph_edges
 
 settings.register_profile(
     "suite",
@@ -134,6 +135,14 @@ def instance_with_point(draw, max_n: int = 4):
     inst = draw(instances(max_n=max_n))
     x = tuple(draw(grid_entry) for _ in range(inst.n))
     return inst, x
+
+
+@st.composite
+def graphs(draw, max_n: int = 8):
+    n = draw(st.integers(1, max_n))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8]))
+    seed = draw(st.integers(0, 10**6))
+    return make_graph(n, random_graph_edges(n, density, seed))
 
 
 # 1-4 decimal places: targets in [0, 1], costs of magnitude 0.0001 to 99.9,

@@ -61,8 +61,7 @@ def test_demo_masks(demo10):
     cls, ext, bounds = _pipeline(demo10)
     state = initial_state(ext, cls, bounds)
     assert state.eq_rows == (2, 4, 5, 6) and state.lt_rows == (7, 8, 10)
-    assert state.ext is ext
-    assert state.ext.maximal(2, 1) == fracs(1, "0.57", 1, 1, 1, 1, 1, 1, 1, 1)
+    assert ext.maximal(2, 1) == fracs(1, "0.57", 1, 1, 1, 1, 1, 1, 1, 1)
     assert state.anchor_dom == {7: (1, 3, 4, 6, 9, 10), 8: (1, 2, 4, 5, 7, 9), 10: (1, 2, 5, 9)}
     # rule 3 reads the anchored minimal at the anchor column: always b_i
     assert {ext.min_anchor[7, j][j - 1] for j in state.anchor_dom[7]} == {frac("0.55")}

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from maxminfre import (
@@ -44,6 +44,7 @@ from .conftest import (
     fine_instances,
     frac,
     fracs,
+    graphs,
     instances,
 )
 
@@ -244,29 +245,38 @@ def test_binary_coefficients_give_binary_optimum():
         assert set(sol.candidate.x) <= {ZERO, ONE}
 
 
-def _stream_scan(inst):
-    """Reference: (admissible, best candidate, distinct boxes, dedup region)
-    from a scan over every triple of the plain lex stream, without merging."""
+def _stream(inst):
+    """Every (triple, box) of the plain lex stream, without merging."""
     cls, ext, bounds = _prep(inst)
-    stream = []
     if gate_feasibility(inst, cls, bounds) is None:
         state = reduce_domains(inst, cls, ext, bounds)
         if state.infeasible is None:
-            stream = list(enumerate_admissible(state, bounds, ext))
+            return list(enumerate_admissible(state, bounds, ext))
+    return []
+
+
+def _best(stream, c, sense):
+    """The first candidate of best objective over the stream."""
     best = None
-    region: list[Cell] = []
     for triple, cell in stream:
-        cand = make_candidate(triple, cell, inst.c, inst.sense)
+        cand = make_candidate(triple, cell, c, sense)
         if best is None or (
-            cand.objective < best.objective
-            if inst.sense == "min"
-            else cand.objective > best.objective
+            cand.objective < best.objective if sense == "min" else cand.objective > best.objective
         ):
             best = cand
+    return best
+
+
+def _stream_scan(inst):
+    """Reference: (admissible, best candidate, distinct boxes, dedup region)
+    from a scan over every triple of the plain lex stream, without merging."""
+    stream = _stream(inst)
+    region: list[Cell] = []
+    for _, cell in stream:
         if not any(kept.dominates(cell) for kept in region):
             region = [kept for kept in region if not cell.dominates(kept)] + [cell]
     distinct = list(dict.fromkeys(cell for _, cell in stream))
-    return len(stream), best, distinct, region
+    return len(stream), _best(stream, inst.c, inst.sense), distinct, region
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
@@ -293,6 +303,32 @@ def test_integer_objective_matches_stream_scan(inst):
     assert sol.candidate == best
     assert feasible_region(inst) == region
     assert feasible_region(inst, dedup=False) == distinct
+
+
+COVER_COSTS = fracs("-2", "-1", "-0.5", 0, "0.5", 1, 2)
+
+
+@settings(max_examples=100)
+@given(graphs(max_n=8), st.lists(st.sampled_from(COVER_COSTS), min_size=8, max_size=8))
+def test_projected_frontier_matches_stream_scan_on_covers(g, costs):
+    """A = adjacency, b = 0 under drawn costs of both signs, the first drawn
+    cost repeated, and zero costs, each under both senses.  Ties are common,
+    so a merged state's kept prefix is often replaced by a later, strictly
+    better arrival; a missing re-sort or a tie-break on <= shows in the
+    winning triple."""
+    A = tuple(tuple(ONE if a else ZERO for a in row) for row in g.adjacency)
+    free = tuple(costs[: g.n])
+    inst = Instance(g.n, A, (ZERO,) * g.n, free, "min")
+    admissible, _, distinct, region = _stream_scan(inst)
+    assert admissible == 2**g.n
+    assert feasible_region(inst) == region
+    assert feasible_region(inst, dedup=False) == distinct
+    stream = _stream(inst)
+    for c in (free, free[:1] * g.n, (ZERO,) * g.n):
+        for sense in ("min", "max"):
+            sol = solve(Instance(g.n, A, (ZERO,) * g.n, c, sense))
+            assert sol.statistics.admissible == admissible
+            assert sol.candidate == _best(stream, c, sense)
 
 
 def test_value_off_the_grid_fails_loudly(demo10, monkeypatch):

@@ -18,19 +18,11 @@ from maxminfre.generate import random_graph_edges
 from maxminfre.oracle import brute_force_cover, specialized_cover
 from maxminfre.vertexcover import GraphError, graph_to_doc, parse_graph
 
-from .conftest import fracs, json_values
+from .conftest import fracs, graphs, json_values
 
 TRIANGLE = make_graph(3, [(1, 2), (2, 3), (1, 3)])
 PATH3 = make_graph(3, [(1, 2), (2, 3)])
 EDGE = make_graph(2, [(1, 2)])
-
-
-@st.composite
-def graphs(draw, max_n: int = 8):
-    n = draw(st.integers(1, max_n))
-    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8]))
-    seed = draw(st.integers(0, 10**6))
-    return make_graph(n, random_graph_edges(n, density, seed))
 
 
 def test_parse_edge_list():
@@ -136,22 +128,42 @@ def test_optimum_equals_chosen_maximal_bound():
         assert sel.upper_eq == result.x_star
 
 
-# The widest frontiers that still solve in well under a second: 2^20
-# admissible triples each.
-PATH20 = make_graph(20, [(v, v + 1) for v in range(1, 20)])
-GRID4X5 = make_graph(
-    20, [(v, v + 1) for v in range(1, 21) if v % 5] + [(v, v + 5) for v in range(1, 16)]
-)
+def _path(n):
+    return make_graph(n, [(v, v + 1) for v in range(1, n)])
+
+
+def _grid(rows, cols):
+    """Row-major: vertex v sits left of v + 1 and above v + cols."""
+    n = rows * cols
+    across = [(v, v + 1) for v in range(1, n + 1) if v % cols]
+    return make_graph(n, across + [(v, v + cols) for v in range(1, n - cols + 1)])
+
+
+# Sparse covers, whose full-box frontiers used to blow up (P24 took 2 s, the
+# 5x6 grid 13 s, random_graph_edges(28, 0.1, 1) 46 s).  Masking finished
+# coordinates keeps the frontier to the live ones: a few states for a path,
+# about 2^cols for a row-major grid.  Every one of the 2^n triples is
+# admissible.
 SPARSE20 = make_graph(20, random_graph_edges(20, 0.1, 1))
 
 
 @pytest.mark.parametrize(
-    "g, size", [(PATH20, 10), (GRID4X5, 10), (SPARSE20, 9)], ids=["path20", "grid4x5", "sparse20"]
+    "g, size",
+    [
+        (_path(20), 10),
+        (_grid(4, 5), 10),
+        (SPARSE20, 9),
+        (_path(64), 32),
+        (_grid(10, 6), 30),
+        (make_graph(28, random_graph_edges(28, 0.1, 1)), 14),
+        (make_graph(64, []), 0),
+    ],
+    ids=["path20", "grid4x5", "sparse20", "path64", "grid10x6", "sparse28", "edgeless64"],
 )
 def test_sparse_cover_pins(g, size):
     result = solve_cover(g)
     assert result.size == size
-    assert result.solution.statistics.admissible == 2**20
+    assert result.solution.statistics.admissible == 2**g.n
     assert verify_structure(result, g).ok
     if g is SPARSE20:
         x, assignment = specialized_cover(g)
