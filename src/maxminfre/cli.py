@@ -40,6 +40,7 @@ from .vertexcover import (
     graph_to_doc,
     load_graph,
     make_graph,
+    parse_graph,
     solve_cover,
     verify_structure,
 )
@@ -252,7 +253,7 @@ def cmd_oracle(args) -> int:
     # a JSON object is a graph iff it has a top-level "adjacency" key
     doc = parse_json(text) if text.lstrip().startswith("{") else None
     if doc is None or "adjacency" in doc:
-        graph = load_graph(text)
+        graph = parse_graph(text)
         if args.sample is not None:
             raise GraphError("--sample needs an instance file, not a graph")
         oracle = brute_force_cover(graph)

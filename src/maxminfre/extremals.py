@@ -12,7 +12,10 @@ the target b_i:
 The two maximal constructions are the same for diag_eq and diag_lt rows:
 variant 1 caps the row's own coordinate at b_i, variant 2 caps every column
 with a_ij > b_i at b_i.  Aggregating per-class extremals componentwise gives
-the box bounds that assemble the full feasible region.
+the box bounds that assemble the full feasible region.  Each extremal vector
+is 0 or 1 except for b_i at its row, anchor or strict support, so
+``ExtremalSet`` builds a vector only when it is read, and the solve path,
+which reads the targets alone, builds none.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
-from .exact import ONE, ZERO, Vec, rank_table, ranked
+from .exact import ONE, ZERO, Vec
 from .model import Instance
 
 VARIANTS = (1, 2)
@@ -52,25 +54,25 @@ class RowClassification:
 
 
 def classify_rows(inst: Instance) -> RowClassification:
-    """Compare every a_ij with b_i on ranks over the distinct values of A and b."""
-    table = rank_table(chain(inst.b, *inst.A))
+    """Compare every a_ij = r/s with b_i = p/q as r*q against p*s (s, q > 0)."""
     support: dict[int, tuple[int, ...]] = {}
     strict: dict[int, tuple[int, ...]] = {}
     diag_gt, diag_eq, diag_lt = [], [], []
     empty = []
-    for i, target in zip(inst.rows, ranked(table, inst.b)):
-        row = ranked(table, inst.A[i - 1])
+    for i, row, target in zip(inst.rows, inst.A, inst.b):
+        p, q = target.as_integer_ratio()
+        diffs = [r * q - p * s for r, s in [a.as_integer_ratio() for a in row]]
         # tuple() of a list, not of a generator: a generator's tuple is built
         # at a guessed size and resized, which fills CPython's per-size tuple
         # free lists a little on every call until the next full collection
-        strict[i] = tuple([j for j, r in enumerate(row, start=1) if r > target])
-        support[i] = tuple([j for j, r in enumerate(row, start=1) if r >= target])
+        strict[i] = tuple([j for j, d in enumerate(diffs, start=1) if d > 0])
+        support[i] = tuple([j for j, d in enumerate(diffs, start=1) if d >= 0])
         if not support[i]:
             empty.append(i)
-        diag = row[i - 1]
-        if diag > target:
+        diag = diffs[i - 1]
+        if diag > 0:
             diag_gt.append(i)
-        elif diag == target:
+        elif diag == 0:
             diag_eq.append(i)
         else:
             diag_lt.append(i)
@@ -87,49 +89,46 @@ def classify_rows(inst: Instance) -> RowClassification:
 
 @dataclass(frozen=True)
 class ExtremalSet:
-    """Every extremal vector of every single-row feasible set."""
+    """Every single-row extremal vector, built family by family on first read."""
 
-    row_max: dict[int, Vec]  # diag_gt rows: unique maximum
-    row_min: dict[int, Vec]  # diag_gt and diag_eq rows: unique minimum
-    max_pin: dict[int, Vec]  # diag_eq/diag_lt rows: variant-1 maximal
-    max_cap: dict[int, Vec]  # diag_eq/diag_lt rows: variant-2 maximal
-    min_anchor: dict[tuple[int, int], Vec]  # diag_lt rows: minimal per anchor
+    cls: RowClassification
+    b: Vec  # the row targets, b_i = b[i - 1]: the only value off {0, 1}
+
+    def _vector(self, fill: Fraction, i: int, coords) -> Vec:
+        """``fill`` everywhere except b_i at the 1-based ``coords``."""
+        vec = [fill] * self.cls.n
+        for j in coords:
+            vec[j - 1] = self.b[i - 1]
+        return tuple(vec)
+
+    @cached_property
+    def row_max(self) -> dict[int, Vec]:  # diag_gt rows: unique maximum
+        return {i: self._vector(ONE, i, (i,)) for i in self.cls.diag_gt}
+
+    @cached_property
+    def row_min(self) -> dict[int, Vec]:  # diag_gt and diag_eq rows: unique minimum
+        return {i: self._vector(ZERO, i, (i,)) for i in self.cls.diag_gt + self.cls.diag_eq}
+
+    @cached_property
+    def max_pin(self) -> dict[int, Vec]:  # diag_eq/diag_lt rows: variant-1 maximal
+        return {i: self._vector(ONE, i, (i,)) for i in self.cls.diag_eq + self.cls.diag_lt}
+
+    @cached_property
+    def max_cap(self) -> dict[int, Vec]:  # diag_eq/diag_lt rows: variant-2 maximal
+        strict = self.cls.support_strict
+        return {i: self._vector(ONE, i, strict[i]) for i in self.cls.diag_eq + self.cls.diag_lt}
+
+    @cached_property
+    def min_anchor(self) -> dict[tuple[int, int], Vec]:  # diag_lt rows: minimal per anchor
+        cls = self.cls
+        return {(i, j): self._vector(ZERO, i, (i, j)) for i in cls.diag_lt for j in cls.support[i]}
 
     def maximal(self, i: int, variant: int) -> Vec:
         return self.max_pin[i] if variant == 1 else self.max_cap[i]
 
 
-def _vector(n: int, fill: Fraction, value: Fraction, coords) -> Vec:
-    """``fill`` everywhere except ``value`` at the 1-based ``coords``."""
-    vec = [fill] * n
-    for j in coords:
-        vec[j - 1] = value
-    return tuple(vec)
-
-
 def extremal_solutions(inst: Instance, cls: RowClassification) -> ExtremalSet:
-    n = inst.n
-    row_max: dict[int, Vec] = {}
-    row_min: dict[int, Vec] = {}
-    max_pin: dict[int, Vec] = {}
-    max_cap: dict[int, Vec] = {}
-    min_anchor: dict[tuple[int, int], Vec] = {}
-    for i in cls.diag_gt:
-        target = inst.b[i - 1]
-        row_max[i] = _vector(n, ONE, target, (i,))
-        row_min[i] = _vector(n, ZERO, target, (i,))
-    for i in cls.diag_eq:
-        target = inst.b[i - 1]
-        row_min[i] = _vector(n, ZERO, target, (i,))
-    for i in cls.diag_eq + cls.diag_lt:
-        target = inst.b[i - 1]
-        max_pin[i] = _vector(n, ONE, target, (i,))
-        max_cap[i] = _vector(n, ONE, target, cls.support_strict[i])
-    for i in cls.diag_lt:
-        target = inst.b[i - 1]
-        for j in cls.support[i]:
-            min_anchor[i, j] = _vector(n, ZERO, target, (i, j))
-    return ExtremalSet(row_max, row_min, max_pin, max_cap, min_anchor)
+    return ExtremalSet(cls, inst.b)
 
 
 @dataclass(frozen=True)
@@ -151,14 +150,13 @@ class BoundVectors:
 
 
 def aggregate_bounds(ext: ExtremalSet, cls: RowClassification) -> BoundVectors:
-    """Each diag_gt/diag_eq row_min and row_max differs from 0 or 1 only at
-    the row's own coordinate, so every aggregate component is read there."""
+    """Each diag_gt/diag_eq row_min and row_max is 0 or 1 except for b_i at
+    the row's own coordinate, so every component is read from ``ext.b``."""
     lower_gt, upper_gt, lower_eq = [ZERO] * cls.n, [ONE] * cls.n, [ZERO] * cls.n
     for i in cls.diag_gt:
-        lower_gt[i - 1] = ext.row_min[i][i - 1]
-        upper_gt[i - 1] = ext.row_max[i][i - 1]
+        lower_gt[i - 1] = upper_gt[i - 1] = ext.b[i - 1]
     for i in cls.diag_eq:
-        lower_eq[i - 1] = ext.row_min[i][i - 1]
+        lower_eq[i - 1] = ext.b[i - 1]
     return BoundVectors(
         lower_gt=tuple(lower_gt), upper_gt=tuple(upper_gt), lower_eq=tuple(lower_eq)
     )

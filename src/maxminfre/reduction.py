@@ -124,9 +124,9 @@ def initial_state(
 ) -> ReductionState:
     """Full domains, and one rank table of every value the rules and the
     frontier compare: 0, 1, the bound components and the diag_eq/diag_lt
-    targets, each read at the row's own coordinate of its variant-1 maximal."""
+    targets, read from ``ext.b``, so no extremal vector is built."""
     rows = cls.diag_eq + cls.diag_lt
-    targets = tuple([ext.max_pin[i][i - 1] for i in rows])
+    targets = tuple([ext.b[i - 1] for i in rows])
     lanes = Lanes(rank_table((ZERO, ONE, *bounds.lower, *bounds.upper_gt, *targets)), cls.n)
     state = ReductionState(
         cls=cls,

@@ -61,7 +61,7 @@ def graph_from_adjacency(matrix) -> Graph:
     for i in range(n):
         for j in range(n):
             val = matrix[i][j]
-            if val not in (0, 1):
+            if type(val) is not int or val not in (0, 1):  # no bool, no float
                 raise GraphError(f"adjacency entries must be 0/1, got {val!r}")
             if matrix[i][j] != matrix[j][i]:
                 raise GraphError(f"adjacency must be symmetric (rows {i + 1}, {j + 1})")

@@ -1,18 +1,22 @@
-"""Fraction-compare reference for the rank-based stages.
+"""Fraction-compare reference for the library's classification, extremals,
+bounds, gate and rules.
 
-These are the plain definitions that ``classify_rows``,
-``extremal_solutions``, ``aggregate_bounds``, ``gate_feasibility`` and the
-seven rules implement on integer ranks: every comparison is a ``Fraction``
-comparison, every vector is scanned in full, and every removal rebuilds its
-domain.  The differential tests compare the library against them.
+These are the plain definitions that the library implements with cross
+products (``classify_rows``), vectors built on first read
+(``extremal_solutions``), targets read directly (``aggregate_bounds``) and
+integer ranks (``gate_feasibility`` and the seven rules): every comparison
+is a ``Fraction`` comparison, every extremal vector is built up front and
+scanned in full, and every removal rebuilds its domain.  The differential
+tests compare the library against them.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from maxminfre.exact import ONE, ZERO
 from maxminfre.extremals import (
     BoundVectors,
-    ExtremalSet,
     RowClassification,
     vec_le,
     vec_max,
@@ -46,7 +50,17 @@ def classify_rows(inst) -> RowClassification:
     )
 
 
-def extremal_solutions(inst, cls) -> ExtremalSet:
+class Extremals(NamedTuple):
+    """The five families of ``ExtremalSet``, each built in full."""
+
+    row_max: dict
+    row_min: dict
+    max_pin: dict
+    max_cap: dict
+    min_anchor: dict
+
+
+def extremal_solutions(inst, cls) -> Extremals:
     n = inst.n
     row_max, row_min, max_pin, max_cap, min_anchor = {}, {}, {}, {}, {}
 
@@ -69,7 +83,7 @@ def extremal_solutions(inst, cls) -> ExtremalSet:
         else:
             for j in cls.support[i]:
                 min_anchor[i, j] = tuple(target if k in (i, j) else ZERO for k in range(1, n + 1))
-    return ExtremalSet(row_max, row_min, max_pin, max_cap, min_anchor)
+    return Extremals(row_max, row_min, max_pin, max_cap, min_anchor)
 
 
 def aggregate_bounds(ext, cls) -> BoundVectors:

@@ -149,6 +149,11 @@ def test_oracle_subcommand(capsys, tmp_path, triangle_file, infeasible_file):
     assert code == 0 and json.loads(out)["agreed"]
     code, out, _ = run_cli(capsys, "oracle", triangle_file, "--json")
     assert code == 0 and json.loads(out)["size"] == 2
+    # one line, no trailing newline: the file's text, not a path
+    lone = tmp_path / "lone.col"
+    lone.write_text("p 1 0")
+    code, out, _ = run_cli(capsys, "oracle", str(lone), "--json")
+    assert code == 0 and json.loads(out) == {"size": 0, "cover": []}
     # sampling checks an instance's boxes; a graph has none
     for k in ("0", "5"):
         code, out, err = run_cli(capsys, "oracle", triangle_file, "--sample", k)

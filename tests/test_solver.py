@@ -385,6 +385,29 @@ def test_seed10_merges_every_triple_into_one_box():
     assert len(feasible_region(inst, dedup=False)) == 1
 
 
+def test_solve_and_region_build_no_extremal_vector(demo10, monkeypatch):
+    """The solve path reads the row targets only, never a vector family."""
+    import maxminfre.extremals as extremals
+
+    cases = [
+        demo10,
+        load_instance(random_fre_doc(16, 0.7, 10, b_cap=0.5)),
+        load_instance(random_fre_doc(64, 0.3, 0, b_cap=0.5)),
+    ]
+    graph = make_graph(12, random_graph_edges(12, 0.3, seed=1))
+
+    def run():
+        return [(solve(inst), feasible_region(inst)) for inst in cases], solve_cover(graph)
+
+    expected = run()
+
+    def refuse(self, fill, i, coords):
+        raise AssertionError("the solve path built an extremal vector")
+
+    monkeypatch.setattr(extremals.ExtremalSet, "_vector", refuse)
+    assert run() == expected
+
+
 def test_cover_general_agrees_with_specialized_up_to_16():
     for n in range(1, 17):
         g = make_graph(n, random_graph_edges(n, 0.3, seed=n))

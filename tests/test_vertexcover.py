@@ -55,6 +55,8 @@ def test_parse_json_adjacency():
         ('{"adjacency": 5}', "matrix"),
         ('{"adjacency": {"ab": 1, "cd": 2}}', "row arrays"),
         ('{"adjacency": [{"a": 1}]}', "row arrays"),
+        ('{"adjacency": [[false, true], [true, false]]}', "0/1"),
+        ('{"adjacency": [[0.0, 1.0], [1.0, 0.0]]}', "0/1"),
     ],
 )
 def test_parse_rejects_malformed(text, match):
