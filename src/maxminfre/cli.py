@@ -34,7 +34,7 @@ from .oracle import (
     sample_feasibility,
 )
 from .reduction import CAUSE_EMPTY_SUPPORT, Infeasibility, reduce_domains
-from .solver import Solution, feasible_region, solve
+from .solver import Solution, feasible_region, resolve_region, solve
 from .vertexcover import (
     GraphError,
     graph_to_doc,
@@ -210,9 +210,8 @@ def cmd_extremals(args) -> int:
 
 def cmd_region(args) -> int:
     inst = load_instance(args.instance)
-    cells = feasible_region(inst, dedup=not args.no_dedup)
-    if not cells:
-        cause = solve(inst).cause
+    cells, cause = resolve_region(inst, dedup=not args.no_dedup)
+    if cause is not None:
         if args.json:
             _emit({"status": "infeasible", **_infeasibility_doc(cause)}, True)
         else:

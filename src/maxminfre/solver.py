@@ -1,58 +1,53 @@
 """End-to-end solve pipeline.
 
 classify -> extremals -> bounds -> feasibility gates -> rules -> selector
-levels -> merged states scored coordinate by coordinate -> the winning
-box's candidate.  A
-selector triple (anchor assignment, diag_eq variants, diag_lt variants) is
-admissible when its box is nonempty; by construction the feasible region is
-exactly the union of those boxes, and some admissible triple's candidate
-attains the optimum.
+levels -> merged states scored coordinate by coordinate -> the winning box's
+candidate.  A selector triple (anchor assignment, diag_eq variants, diag_lt
+variants) is admissible when its box is nonempty; by construction the
+feasible region is exactly the union of those boxes, and some admissible
+triple's candidate attains the optimum.
 
 The selectors form one table of levels, one per row: anchor rows raise the
 partial box's lower bound, then eq rows and lt rows lower its upper bound,
 and a choice is cut as soon as the box is empty somewhere.  A depth-first
 walk (``enumerate_admissible``) streams every admissible triple in lex order;
 it is the reference that the merged walk below is checked against.
-``feasible_region`` builds the table level by level instead, merging
-prefixes that reach the same partial box, since what follows depends only on
-the box.  Expanding each level's states in insertion order, values
-ascending, reaches every state first through its lex-smallest prefix, by
-induction over the levels: a prefix through parent state R is no smaller
-than R's lex-first prefix extended by the same value, and those extensions
-are generated in lex order.  So the merged boxes come in stream order and
-their multiplicities sum to the admissible count.
+
+The merged walk builds the table level by level instead and merges the
+choices that reach the same partial box, since what follows depends only on
+the box.  It names each triple by an integer code: with d_p the option count
+of level p, w_p the product of d_q over q > p and R the product of all d_q,
+option k of level p (values ascend within a level) adds k * w_p, so a code
+is the triple's mixed-radix numeral and codes order triples lexicographically
+(Knuth, TAOCP vol. 2, section 4.1).  A merged state sums its counts and keeps
+the smallest key.  ``feasible_region`` keys states on the code, so a final
+box keeps the code of its first triple in the stream, and sorting by it
+gives stream order.
 
 ``solve`` runs the same walk on projected states.  The objective is a sum of
-one term per coordinate.  After the last level that can move coordinate j
-(a raising level with some value of rank > 0 at j, a lowering level with
-some value below the top rank there; the first level if none can), j's
-bounds are final and already checked, and they fix j's term.  The walk adds that term to the state's
-running score and masks j's lanes to zero in both halves of the key.  Three
-facts keep this exact:
+one term per coordinate.  After the last walked level that can move
+coordinate j (a raising level with some value of rank > 0 at j, a lowering
+level with some value below the top rank there; the first level if none
+can), j's bounds are final and already checked, and they fix j's term.  The
+walk adds that term times R to the state's key, so a key is score * R + code,
+and masks j's lanes to zero in both halves of the box.  Two facts keep this
+exact:
 
 * Masked lanes are no-ops for later cuts.  Every later value holds rank 0
   (raising) or the top rank (lowering) at j, so on j's lanes a cut compares
   0 <= 0 or 0 <= top, and max(0, 0) and min(0, top) leave them 0; the other
-  lanes see the same cut as on the full key.
-* Merged states share futures.  States with the same masked key take the
-  same cuts at every later level and gain the same later terms, so a full
-  triple scores the state's running score plus a term fixed by the key and
-  the suffix.  A merged state sums the counts and keeps the best (score,
-  prefix): under any common suffix the prefix smaller in score, then in lex
-  order, gives the smaller triple, since the prefixes have equal length.
-* (parent index, value) orders prefixes.  Each level is kept sorted by the
-  lex order of its states' kept prefixes, which are distinct, so a kept
-  prefix extended by one value sorts by its parent's index, then by the
-  value.  States are expanded in that order, so each new state first meets
-  its smallest candidate, and a later candidate replaces it only with a
-  strictly smaller score.  When one did, the level is sorted again on the
-  (parent index, value) of each kept prefix.
+  lanes see the same cut as on the full box.
+* Merged states share all later terms.  States with the same masked box take
+  the same cuts at every later level and gain the same later objective and
+  code terms, so under any common suffix the state of smaller key gives the
+  smaller triple.  A code is below R, so the smaller key has the smaller
+  score and, among equal scores, the smaller code.
 
-After the last level every coordinate is masked, so at most one state is
-left: its count is the admissible count, its score the optimum, and its
-prefix the lex-smallest triple among the optimal ones, the one the stream
-order ranks first.  ``solve`` replays that prefix through the levels to
-rebuild its box and builds the one candidate.
+Neither fact depends on the walk order, so ``_walk_order`` walks the anchor
+levels last, under an upper bound that has already fallen and cuts them
+early.  After the last level every coordinate is masked and at most one
+state is left: its count is the admissible count, and its key divmod R gives
+the optimum and the code of the lex-smallest optimal triple.
 
 The merged walk runs on the ranks of the solve's one table (built by
 ``reduction.initial_state``), not on ``Fraction``s.  For ``aggregate_bounds``
@@ -75,7 +70,7 @@ neighbour and the guard bit survives exactly where a_j >= b_j.  All guards
 surviving is the lane-wise <= test; widening the survivors to whole-lane
 masks makes max and min two masked selects.  Packing is a bijection between
 rank vectors and ints, so the packed (lower, upper) keys merge exactly the
-states that rank tuples merge, in the same order.  Each term is read from a
+states that rank tuples merge.  Each term is read from a
 table of c_j * grid[r] multiplied by one positive common multiple of the
 denominators, looked up by the lane's rank, which makes every entry an
 integer and keeps the order of objectives exact; only the winning box and
@@ -281,27 +276,42 @@ def _projection(lanes: Lanes, levels: list, picks: list) -> list:
     return steps[::-1]
 
 
-def _frontier(state: ReductionState, levels: list, picks: list | None = None) -> dict:
-    """Packed (lower, upper) -> [multiplicity, score, lex-first choices as a
-    backwards (value, parent) chain, parent index] for every distinct
-    nonempty state after the last level.  The box stays nonempty iff the
-    chosen vector lies on the right side of the bound it does not move.
+def _walk_order(levels: list) -> list[int]:
+    """The levels' indices in walk order: the lowering levels (eq rows, then
+    lt rows), then the raising anchor levels, fewest options first, ties in
+    table order."""
+    lowering = [p for p, (raises_lower, _) in enumerate(levels) if not raises_lower]
+    raising = [p for p, (raises_lower, _) in enumerate(levels) if raises_lower]
+    return lowering + sorted(raising, key=lambda p: len(levels[p][1]))
 
-    Without ``picks`` the keys are whole boxes in stream order; with the
-    per-coordinate ``(shift, side, table)`` picks each coordinate's term is
-    scored and its lanes masked once no later level moves it."""
+
+def _frontier(state: ReductionState, levels: list, picks: list | None = None) -> dict:
+    """Packed (lower, upper) -> [multiplicity, smallest key] for every
+    distinct nonempty state after the levels, walked in ``_walk_order``; the
+    box stays nonempty iff the chosen vector lies on the right side of the
+    bound it does not move.  Without ``picks`` a key is a code and a state a
+    whole box; with the per-coordinate ``(shift, side, table)`` picks each
+    coordinate's term times R joins the key once no later level moves it."""
     lanes = state.lanes
     le, lane_max, lane_min, lane = lanes.le, lanes.max, lanes.min, lanes.lane
     lower, upper = lanes.pack(state.lower), lanes.pack(state.upper)
     if not le(lower, upper):
         return {}
-    steps = [(-1, ())] * len(levels) if picks is None else _projection(lanes, levels, picks)
-    frontier = {(lower, upper): [1, 0, None, 0]}
-    for (raises_lower, options), (keep, dropped) in zip(levels, steps):
+    coded, radix = [], 1  # option k of level p adds k * w_p to the code
+    for raises_lower, options in reversed(levels):
+        coded.insert(0, (raises_lower, [(k * radix, vec) for k, (_, vec) in enumerate(options)]))
+        radix *= len(options)
+    walked = [coded[p] for p in _walk_order(levels)]
+    if picks is None:
+        steps = [(-1, ())] * len(levels)
+    else:
+        picks = [(shift, side, [term * radix for term in table]) for shift, side, table in picks]
+        steps = _projection(lanes, walked, picks)
+    frontier = {(lower, upper): [1, 0]}
+    for (raises_lower, options), (keep, dropped) in zip(walked, steps):
         merged: dict = {}
-        resort = False
-        for index, ((lower, upper), (count, score, chain, _)) in enumerate(frontier.items()):
-            for value, vec in options:
+        for (lower, upper), (count, key) in frontier.items():
+            for term, vec in options:
                 if raises_lower:
                     if not le(vec, upper):
                         continue
@@ -310,30 +320,19 @@ def _frontier(state: ReductionState, levels: list, picks: list | None = None) ->
                     if not le(lower, vec):
                         continue
                     lo, up = lower, lane_min(upper, vec)
-                total = score
+                total = key + term
                 for shift, side, table in dropped:
                     total += table[((up if side else lo) >> shift) & lane]
                 box = (lo & keep, up & keep)
                 entry = merged.get(box)
                 if entry is None:
-                    merged[box] = [count, total, (value, chain), index]
+                    merged[box] = [count, total]
                 else:
                     entry[0] += count
                     if total < entry[1]:
-                        entry[1:] = total, (value, chain), index
-                        resort = True
-        if resort:
-            merged = dict(sorted(merged.items(), key=lambda item: (item[1][3], item[1][2][0])))
+                        entry[1] = total
         frontier = merged
     return frontier
-
-
-def _choices(chain) -> tuple[int, ...]:
-    values = []
-    while chain is not None:
-        value, chain = chain
-        values.append(value)
-    return tuple(reversed(values))
 
 
 def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
@@ -394,37 +393,33 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
 
     lanes, levels = state.lanes, _packed_levels(state)
     frontier = _frontier(state, levels, _picks(lanes, inst.c, inst.sense))
-    stats = _stats(
-        state,
-        admissible=sum(entry[0] for entry in frontier.values()),
-        enumerated=math.prod(state.cardinalities()),
-    )
+    admissible = sum(count for count, _ in frontier.values())
+    stats = _stats(state, admissible, enumerated=math.prod(state.cardinalities()))
     if not frontier:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
-    ((_, _, chain, _),) = frontier.values()  # every coordinate is masked
-    choices = _choices(chain)
-    lower, upper = lanes.pack(state.lower), lanes.pack(state.upper)
-    for (raises_lower, options), value in zip(levels, choices):
-        vec = dict(options)[value]
-        if raises_lower:
-            lower = lanes.max(lower, vec)
-        else:
-            upper = lanes.min(upper, vec)
-    best = make_candidate(_triple(state, choices), lanes.decode(lower, upper), inst.c, inst.sense)
+    ((_, key),) = frontier.values()  # every coordinate is masked
+    code, chosen = key % math.prod(len(options) for _, options in levels), []
+    for raises_lower, options in reversed(levels):
+        code, k = divmod(code, len(options))
+        chosen.insert(0, (raises_lower, options[k:k + 1]))
+    ((lower, upper),) = _frontier(state, chosen)  # the winning triple's box
+    triple = _triple(state, tuple(options[0][0] for _, options in chosen))
+    best = make_candidate(triple, lanes.decode(lower, upper), inst.c, inst.sense)
     return Solution("optimal", best, None, stats)
 
 
-def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
-    """All distinct nonempty boxes over admissible triples, in stream order;
-    empty when infeasible.
-
-    With ``dedup`` every box contained in another returned box is dropped
-    (first occurrence wins among equals), which does not change the union.
-    """
+def resolve_region(inst: Instance, dedup: bool = True) -> tuple[list[Cell], Infeasibility | None]:
+    """(the distinct nonempty boxes over admissible triples in stream order,
+    None), or ([], the verdict ``solve`` gives), from one pipeline pass.  With
+    ``dedup`` every box inside another returned box is dropped (first
+    occurrence wins among equals), which does not change the union."""
     state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
-        return []
-    boxes = list(_frontier(state, _packed_levels(state)))
+        return [], infeasible
+    frontier = _frontier(state, _packed_levels(state))
+    if not frontier:
+        return [], Infeasibility(CAUSE_NO_TRIPLE)
+    boxes = sorted(frontier, key=lambda box: frontier[box][1])  # stream order
     if dedup:  # packed until the end: dominance is the same on ranks
         le = state.lanes.le
         kept: list = []
@@ -434,4 +429,9 @@ def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
             kept = [(lo, up) for lo, up in kept if not (le(lower, lo) and le(up, upper))]
             kept.append((lower, upper))
         boxes = kept
-    return [state.lanes.decode(lower, upper) for lower, upper in boxes]
+    return [state.lanes.decode(lower, upper) for lower, upper in boxes], None
+
+
+def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:
+    """``resolve_region``'s boxes: empty when infeasible."""
+    return resolve_region(inst, dedup)[0]

@@ -118,11 +118,13 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(source) -> Graph:
-    """Load a graph from a Graph, inline content, or a file path."""
+    """Load a graph from a Graph, inline content, or a file path.  Text is
+    inline when it spans lines, is a JSON object or starts with an edge
+    list's problem line ('p <n> <m>'); any other text names a file."""
     if isinstance(source, Graph):
         return source
     text = str(source)
-    if "\n" not in text and not text.lstrip().startswith("{"):
+    if "\n" not in text and not text.lstrip().startswith(("{", "p ", "p\t")):
         try:
             with open(text, encoding="utf-8") as fh:
                 text = fh.read()

@@ -129,6 +129,30 @@ def test_region_subcommand(capsys, infeasible_file, tmp_path):
     }
 
 
+def test_region_infeasible_runs_the_pipeline_once(capsys, monkeypatch, infeasible_file):
+    """The verdict comes from the same pass that finds no box."""
+    from maxminfre import solver
+
+    calls = []
+    prepare = solver._prepare
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_prepare", counted)
+    code, out, _ = run_cli(capsys, "region", infeasible_file, "--json")
+    assert code == 1 and len(calls) == 1
+    assert json.loads(out) == {
+        "status": "infeasible",
+        "infeasibility_cause": "no-admissible-triple",
+        "infeasibility_rows": [],
+    }
+    code, out, _ = run_cli(capsys, "region", infeasible_file, "--no-dedup")
+    assert code == 1 and len(calls) == 2
+    assert out == "infeasible: no-admissible-triple\n"
+
+
 def test_vc_subcommand(capsys, triangle_file, tmp_path):
     code, out, _ = run_cli(capsys, "vc", triangle_file, "--brute", "--json")
     assert code == 0

@@ -1,5 +1,7 @@
 import itertools
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,6 +35,7 @@ from maxminfre.reduction import (
     initial_state,
     reduce_domains,
 )
+from maxminfre import solver
 from maxminfre.solver import enumerate_admissible
 
 from .conftest import (
@@ -313,8 +316,8 @@ COVER_COSTS = fracs("-2", "-1", "-0.5", 0, "0.5", 1, 2)
 def test_projected_frontier_matches_stream_scan_on_covers(g, costs):
     """A = adjacency, b = 0 under drawn costs of both signs, the first drawn
     cost repeated, and zero costs, each under both senses.  Ties are common,
-    so a merged state's kept prefix is often replaced by a later, strictly
-    better arrival; a missing re-sort or a tie-break on <= shows in the
+    so a merged state's smallest key often arrives after its first; keeping
+    the first arrival, or a key that mixes score and code, shows in the
     winning triple."""
     A = tuple(tuple(ONE if a else ZERO for a in row) for row in g.adjacency)
     free = tuple(costs[: g.n])
@@ -416,3 +419,119 @@ def test_cover_general_agrees_with_specialized_up_to_16():
         assert result.x_star == x
         assert result.solution.candidate.triple.eq_choices == assignment
         assert verify_structure(result, g).ok
+
+
+# random_fre_doc(n, 0.3, seed, b_cap=0.5): the verdict, the admissible count,
+# the region's box counts with and without dedup, and the winning triple as
+# (anchors, eq variants, the lt rows taking variant 2).  Walked anchors first,
+# the n = 40 seeds and n=48 s=39 took 0.2-5 s and the rest ran past 10 s.
+PATHOLOGY_1 = [
+    (40, 15, "optimal", 1184335529320120320000, (4, 40),
+     "2 9 3 18 2 5 1 1 12 32 4 2 12 2 32 12 32 3 1 6 12 2 3 9 22 2 21 19 4 16 3 1 5 3 1",
+     (), (10, 17, 30)),
+    (40, 258, "optimal", 84757991915520000, (2, 2),
+     "2 3 7 7 8 34 19 6 3 7 2 11 3 20 6 4 5 8 3 6 1 20 4 1 8 3 16 19 7 7 7 16 1",
+     (), (6, 12, 27)),
+    (40, 320, "optimal", 130737547100160000, (2, 2),
+     "10 7 17 34 37 2 5 4 21 8 14 17 2 1 25 17 19 31 3 19 28 1 30 1 17 5 30 5 1 2 7 30 1",
+     (), (15, 21, 25)),
+    (40, 370, "optimal", 67596705792000, (2, 18),
+     "11 2 28 19 3 2 2 3 6 3 8 4 1 30 21 6 5 5 7 30 19 5 5 28 3 3 4",
+     (), (3, 21)),
+    (48, 39, "optimal", 429266120461516800000, (1, 1),
+     "8 6 8 32 4 27 6 29 5 3 27 5 6 12 3 4 12 12 29 3 8 3 4 5 5 6 4 5 9 4 6 3 29",
+     (), ()),
+    (48, 51, "optimal", 4870219257599754240000, (2, 6),
+     "38 2 9 2 25 2 4 1 8 1 13 32 4 8 9 3 16 3 8 2 25 25 16 32 16 2 25 25 16 9 18 8 38 5 "
+     "25 3",
+     (1,), (17,)),
+    (64, 1219, "no-admissible-triple", 0, (0, 0), None, None, None),
+    (64, 1262, "optimal", 64644409749130898618324090880000000, (2, 2),
+     "26 1 1 13 1 3 2 1 10 2 1 28 28 45 19 16 48 20 1 1 19 50 5 5 14 6 10 5 2 19 2 1 1 17 "
+     "4 1 10 16 2 1 1 2 5 63 1 15",
+     (), (1, 44, 45)),
+    (64, 1303, "optimal", 3519962841654635741583255797760000000000, (2, 8),
+     "6 1 38 31 2 13 52 1 35 4 6 1 14 3 1 6 13 2 2 3 10 8 35 1 6 7 8 4 8 14 2 8 6 6 6 3 23 "
+     "6 1 10 1 4 10 2 1 8 41 6 1 7 8 2",
+     (1, 1), (9, 23, 27)),
+    (64, 1431, "optimal", 270421748830465437678855782400000000, (2, 2),
+     "6 1 19 16 6 16 4 19 6 18 12 32 6 28 10 3 1 32 3 6 52 16 6 11 4 19 4 16 2 4 11 19 3 "
+     "12 4 3 6 16 26 23 2 4 3 19 6 39 9",
+     (1, 1), (12, 14, 22)),
+    (64, 1498, "optimal", 14827311417392328080081257758720000000, (2, 4),
+     "8 24 5 7 8 5 33 7 3 8 8 6 1 2 45 7 3 27 2 3 33 11 18 3 5 1 53 11 7 8 2 3 7 5 22 2 2 "
+     "40 3 22 1 2 2 17 49 1 2 3 7 1 17",
+     (1,), (7, 42, 45)),
+    (64, 1521, "optimal", 19106986690802573580996653875200000000, (2, 3),
+     "4 25 1 19 13 2 1 2 18 6 1 4 11 3 2 2 61 2 1 18 6 1 1 6 12 8 6 5 4 17 1 26 3 6 25 19 "
+     "4 28 6 1 18 3 18 18 2 25 1",
+     (1,), ()),
+]
+
+
+def _timed(budget, call, *args, **kwargs):
+    started = time.perf_counter()
+    result = call(*args, **kwargs)
+    assert time.perf_counter() - started < budget, call.__name__
+    return result
+
+
+@pytest.mark.parametrize(
+    "n,seed,verdict,admissible,boxes,anchors,eqs,twos",
+    PATHOLOGY_1,
+    ids=[f"n{case[0]}-s{case[1]}" for case in PATHOLOGY_1],
+)
+def test_anchor_heavy_instances_finish_fast(
+    n, seed, verdict, admissible, boxes, anchors, eqs, twos
+):
+    """Many diag_lt rows with wide anchor domains: anchors walked last are cut
+    by an upper bound the lowering levels have already brought down."""
+    inst = load_instance(random_fre_doc(n, 0.3, seed, b_cap=0.5))
+    sol = _timed(1.0, solve, inst)
+    assert (sol.status if sol.optimal else sol.cause.cause) == verdict
+    assert sol.statistics.admissible == admissible
+    region = _timed(1.0, feasible_region, inst)
+    assert (len(region), len(_timed(1.0, feasible_region, inst, dedup=False))) == boxes
+    if anchors is None:
+        return
+    anchors = tuple(map(int, anchors.split()))
+    lts = tuple(2 if p in twos else 1 for p in range(1, len(anchors) + 1))
+    assert sol.candidate.triple.key() == (anchors, eqs, lts)
+    assert check_membership(inst, sol.candidate.x).feasible
+    assert any(cell.contains(sol.candidate.x) for cell in region)
+
+
+def _results(inst):
+    return (
+        solve(inst),
+        solve(inst, use_rules=False),
+        feasible_region(inst),
+        feasible_region(inst, dedup=False),
+    )
+
+
+def _permuted_results(inst, rng):
+    """``_results`` with every walk in a permutation drawn from ``rng``."""
+
+    def drawn(levels):
+        return rng.sample(range(len(levels)), len(levels))
+
+    with mock.patch.object(solver, "_walk_order", drawn):
+        return _results(inst)
+
+
+@given(fine_instances(max_n=5), st.randoms(use_true_random=False))
+def test_walk_order_does_not_change_results(inst, rng):
+    assert _permuted_results(inst, rng) == _results(inst)
+
+
+@given(
+    graphs(max_n=8),
+    st.lists(st.sampled_from(COVER_COSTS), min_size=8, max_size=8),
+    st.sampled_from(["min", "max"]),
+    st.randoms(use_true_random=False),
+)
+def test_walk_order_does_not_change_cover_results(g, costs, sense, rng):
+    A = tuple(tuple(ONE if a else ZERO for a in row) for row in g.adjacency)
+    inst = Instance(g.n, A, (ZERO,) * g.n, tuple(costs[: g.n]), sense)
+    assert _permuted_results(inst, rng) == _results(inst)

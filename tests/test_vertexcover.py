@@ -64,6 +64,17 @@ def test_parse_rejects_malformed(text, match):
         load_graph(text)
 
 
+def test_load_graph_reads_one_line_edge_list_inline(tmp_path):
+    assert load_graph("p 1 0") == load_graph("p 1 0\n") == make_graph(1, [])
+    assert load_graph("p edge 2 0") == make_graph(2, [])
+    missing = str(tmp_path / "missing.col")
+    with pytest.raises(GraphError, match="cannot read graph file.*missing.col"):
+        load_graph(missing)
+    path = tmp_path / "k3.col"
+    path.write_text(graph_to_doc(TRIANGLE))
+    assert load_graph(str(path)) == TRIANGLE
+
+
 def test_graph_doc_round_trip():
     assert load_graph(graph_to_doc(TRIANGLE)) == TRIANGLE
 
