@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,16 @@ from maxminfre.cli import main
 from .conftest import DATA_DIR, RULES_BLIND_INFEASIBLE
 
 DEMO = str(DATA_DIR / "demo10.json")
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DEMO_X = "0.66,0.57,0.14,0.4,0.45,1,0.55,0.62,0.04,0.53"
+# golden file -> argv, run from the repository root so the echoed path is stable
+GOLDENS = {
+    "solve-region-trace": ("solve", "data/demo10.json", "--region", "--trace"),
+    "region": ("region", "data/demo10.json"),
+    "vc-brute": ("vc", "data/triangle.col", "--brute"),
+    "oracle-graph": ("oracle", "data/path3.col"),
+    "check": ("check", "data/demo10.json", "--x", DEMO_X),
+}
 
 
 @pytest.fixture()
@@ -31,6 +42,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_human_output_matches_golden(capsys, monkeypatch, name):
+    """The non-JSON stdout, byte for byte, apart from the timing line."""
+    monkeypatch.chdir(DATA_DIR.parent)
+    code, out, _ = run_cli(capsys, *GOLDENS[name])
+    kept = [line for line in out.splitlines(True) if not line.startswith("elapsed_seconds:")]
+    assert code == 0
+    assert "".join(kept) == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_solve_exit_codes(capsys, infeasible_file, tmp_path):
