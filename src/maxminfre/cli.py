@@ -19,7 +19,7 @@ import time
 import traceback
 
 from .exact import decimal_str, display_round, vector_str
-from .extremals import Cell, aggregate_bounds, classify_rows, extremal_solutions
+from .extremals import Cell, classify_rows, extremal_solutions
 from .generate import (
     KINDS,
     random_binary_fre_doc,
@@ -33,8 +33,8 @@ from .oracle import (
     grid_optimum,
     sample_feasibility,
 )
-from .reduction import CAUSE_EMPTY_SUPPORT, Infeasibility, reduce_domains
-from .solver import Solution, feasible_region, resolve_region, solve
+from .reduction import CAUSE_EMPTY_SUPPORT, Infeasibility
+from .solver import Solution, _prepare, feasible_region, resolve_region, solve
 from .vertexcover import (
     GraphError,
     graph_to_doc,
@@ -57,16 +57,8 @@ def _statistics_doc(sol: Solution) -> dict:
     return {
         "enumerated": st.enumerated,
         "admissible": st.admissible,
-        "initial_domains": {
-            "eq": st.initial_cards[0],
-            "lt": st.initial_cards[1],
-            "anchor": st.initial_cards[2],
-        },
-        "final_domains": {
-            "eq": st.final_cards[0],
-            "lt": st.final_cards[1],
-            "anchor": st.final_cards[2],
-        },
+        "initial_domains": dict(zip(("eq", "lt", "anchor"), st.initial_cards)),
+        "final_domains": dict(zip(("eq", "lt", "anchor"), st.final_cards)),
         "rule_firings": {f"rule{rule}": count for rule, count in st.rule_firings},
     }
 
@@ -105,23 +97,19 @@ def _emit(doc: dict, as_json: bool) -> None:
         print(line)
 
 
-def _human_lines(value, indent: str):
+def _human_lines(value: dict | list, indent: str):
+    """One line per entry, labelled ``key:`` in a dict and ``-`` in a list;
+    a nonempty entry that is not a flat list gets its own indented block."""
     if isinstance(value, dict):
-        for key, sub in value.items():
-            if isinstance(sub, (dict, list)) and sub and not _is_flat(sub):
-                yield f"{indent}{key}:"
-                yield from _human_lines(sub, indent + "  ")
-            else:
-                yield f"{indent}{key}: {_flat(sub)}"
-    elif isinstance(value, list):
-        for sub in value:
-            if isinstance(sub, (dict, list)) and sub and not _is_flat(sub):
-                yield f"{indent}-"
-                yield from _human_lines(sub, indent + "  ")
-            else:
-                yield f"{indent}- {_flat(sub)}"
+        labelled = [(f"{key}:", sub) for key, sub in value.items()]
     else:
-        yield f"{indent}{_flat(value)}"
+        labelled = [("-", sub) for sub in value]
+    for label, sub in labelled:
+        if isinstance(sub, (dict, list)) and sub and not _is_flat(sub):
+            yield f"{indent}{label}"
+            yield from _human_lines(sub, indent + "  ")
+        else:
+            yield f"{indent}{label} {_flat(sub)}"
 
 
 def _is_flat(value) -> bool:
@@ -159,14 +147,10 @@ def _echo(args, command: str, path_attr: str) -> str:
 
 
 def cmd_reduce(args) -> int:
-    inst = load_instance(args.instance)
-    cls = classify_rows(inst)
-    if cls.empty_support:
-        print(f"infeasible: {Infeasibility(CAUSE_EMPTY_SUPPORT, cls.empty_support).describe()}")
+    state, verdict = _prepare(load_instance(args.instance), use_rules=True)
+    if state is None:  # the gate decided
+        print(f"infeasible: {verdict.describe()}")
         return INFEASIBLE
-    ext = extremal_solutions(inst, cls)
-    bounds = aggregate_bounds(ext, cls)
-    state = reduce_domains(inst, cls, ext, bounds)
     for event in state.trace:
         print(event.line())
     for i in state.eq_rows:

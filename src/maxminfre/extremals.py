@@ -52,6 +52,10 @@ class RowClassification:
     diag_lt: tuple[int, ...]
     empty_support: tuple[int, ...]  # rows whose support is empty: infeasible
 
+    def caps(self, i: int, variant: int) -> tuple[int, ...]:
+        """The coordinates that row i's variant-1 or variant-2 maximal caps at b_i."""
+        return (i,) if variant == 1 else self.support_strict[i]
+
 
 def classify_rows(inst: Instance) -> RowClassification:
     """Compare every a_ij = r/s with b_i = p/q as r*q against p*s (s, q > 0)."""
@@ -111,12 +115,13 @@ class ExtremalSet:
 
     @cached_property
     def max_pin(self) -> dict[int, Vec]:  # diag_eq/diag_lt rows: variant-1 maximal
-        return {i: self._vector(ONE, i, (i,)) for i in self.cls.diag_eq + self.cls.diag_lt}
+        cls = self.cls
+        return {i: self._vector(ONE, i, cls.caps(i, 1)) for i in cls.diag_eq + cls.diag_lt}
 
     @cached_property
     def max_cap(self) -> dict[int, Vec]:  # diag_eq/diag_lt rows: variant-2 maximal
-        strict = self.cls.support_strict
-        return {i: self._vector(ONE, i, strict[i]) for i in self.cls.diag_eq + self.cls.diag_lt}
+        cls = self.cls
+        return {i: self._vector(ONE, i, cls.caps(i, 2)) for i in cls.diag_eq + cls.diag_lt}
 
     @cached_property
     def min_anchor(self) -> dict[tuple[int, int], Vec]:  # diag_lt rows: minimal per anchor

@@ -12,6 +12,7 @@ satisfied exactly when (I) min{a_ij, x_i, x_j} <= b_i for every column j and
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,10 +47,6 @@ class RowStatus:
     required: Fraction
     witness: int | None  # first column attaining equality, if any
     violation: int | None  # first column whose term exceeds the target
-
-    @property
-    def satisfied(self) -> bool:
-        return self.achieved == self.required
 
 
 @dataclass(frozen=True)
@@ -164,11 +161,13 @@ def parse_json(text: str):
 
 
 def load_instance(source) -> Instance:
-    """Load an instance from a dict, a JSON string, or a file path."""
+    """Load an instance from a dict, a JSON string, or a file path.  Text
+    that names an existing file is read from it; other text is the document
+    when it starts with '{' and names a file otherwise."""
     if isinstance(source, dict):
         return instance_from_doc(source)
     text = str(source)
-    if not text.lstrip().startswith("{"):
+    if os.path.isfile(text) or not text.lstrip().startswith("{"):
         try:
             with open(text, encoding="utf-8") as fh:
                 text = fh.read()

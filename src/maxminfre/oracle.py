@@ -110,7 +110,6 @@ def sample_feasibility(
 class CoverOracleResult:
     size: int
     cover: tuple[int, ...]
-    subsets_tried: int
 
 
 def brute_force_cover(g: Graph, limit: int = COVER_LIMIT) -> CoverOracleResult:
@@ -118,13 +117,11 @@ def brute_force_cover(g: Graph, limit: int = COVER_LIMIT) -> CoverOracleResult:
     if g.n > limit:
         raise BudgetExceeded(f"graph order {g.n} exceeds limit {limit}")
     edges = sorted(g.edges)
-    tried = 0
     for size in range(g.n + 1):
         for subset in itertools.combinations(range(1, g.n + 1), size):
-            tried += 1
             chosen = set(subset)
             if all(u in chosen or v in chosen for u, v in edges):
-                return CoverOracleResult(size=size, cover=subset, subsets_tried=tried)
+                return CoverOracleResult(size=size, cover=subset)
     raise AssertionError("the full vertex set always covers")
 
 

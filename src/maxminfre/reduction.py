@@ -29,6 +29,7 @@ from the solve's one rank table (``initial_state``), never ``Fraction``s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .exact import ONE, ZERO, rank_table, ranked
@@ -91,14 +92,8 @@ class ReductionState:
         return self.cls.diag_lt
 
     def cardinalities(self) -> tuple[int, int, int]:
-        eq = lt = anchor = 1
-        for dom in self.eq_dom.values():
-            eq *= len(dom)
-        for dom in self.lt_dom.values():
-            lt *= len(dom)
-        for dom in self.anchor_dom.values():
-            anchor *= len(dom)
-        return eq, lt, anchor
+        doms = (self.eq_dom, self.lt_dom, self.anchor_dom)
+        return tuple([math.prod(map(len, dom.values())) for dom in doms])
 
     def snapshot(self, stage: str) -> None:
         self.snapshots.append((stage, *self.cardinalities()))
@@ -162,14 +157,13 @@ def apply_bound_rules(state: ReductionState) -> ReductionState:
     exceeds 1, so only those coordinates can be crossed; they are scanned in
     ascending order, which keeps the first crossing as the witness.
     """
-    strict, lower, target = state.cls.support_strict, state.lower, state.target
+    caps, lower, target = state.cls.caps, state.lower, state.target
     for rule, dom, rows in ((1, state.eq_dom, state.eq_rows), (2, state.lt_dom, state.lt_rows)):
         hits = []
         for row in rows:
             t = target[row]
             for variant in dom[row]:
-                coords = (row,) if variant == 1 else strict[row]
-                hit = next((j for j in coords if lower[j - 1] > t), None)
+                hit = next((j for j in caps(row, variant) if lower[j - 1] > t), None)
                 if hit is not None:
                     hits.append((row, variant, (hit,)))
         state._prune(rule, dom, hits)

@@ -203,7 +203,7 @@ def _levels(state: ReductionState, anchor, maximal) -> list:
 
 def _packed_levels(state: ReductionState) -> list:
     """``_levels`` on packed ranks, built from the targets and supports."""
-    lanes, target, strict = state.lanes, state.target, state.cls.support_strict
+    lanes, target, caps = state.lanes, state.target, state.cls.caps
     shifts, top = lanes.shifts, lanes.top
     ones = top * lanes.unit
 
@@ -211,8 +211,7 @@ def _packed_levels(state: ReductionState) -> list:
         return (target[i] << shifts[i - 1]) | (target[i] << shifts[j - 1])
 
     def maximal(i: int, variant: int) -> int:
-        coords = (i,) if variant == 1 else strict[i]
-        return ones - sum((top - target[i]) << shifts[j - 1] for j in coords)
+        return ones - sum((top - target[i]) << shifts[j - 1] for j in caps(i, variant))
 
     return _levels(state, anchor, maximal)
 
@@ -248,7 +247,9 @@ def _projection(lanes: Lanes, levels: list, picks: list) -> list:
     """(keep, dropped) after each level: ``keep`` masks the lanes that some
     later level can still move, ``dropped`` lists the picks of the
     coordinates that no later level moves, each coordinate once (those that
-    no level moves go with the first level)."""
+    no level moves go with the first level).  An option moves exactly the
+    lanes where it differs from its level's no-op: rank 0 when it raises,
+    the top rank when it lowers."""
     ones = lanes.top * lanes.unit
     everything = lanes.lane * lanes.unit
     step = lanes.w + 1
@@ -263,12 +264,10 @@ def _projection(lanes: Lanes, levels: list, picks: list) -> list:
 
     later, steps = 0, []
     for raises_lower, options in levels[:0:-1]:  # every level but the first, last first
+        noop = 0 if raises_lower else ones
         moved = 0
         for _, vec in options:
-            if raises_lower:
-                moved |= lanes.ge_mask(vec, lanes.unit)
-            else:
-                moved |= everything & ~lanes.ge_mask(vec, ones)
+            moved |= lanes.ge_mask(vec ^ noop, lanes.unit)
         steps.append((later, dropped(moved & ~later)))
         later |= moved
     if levels:

@@ -12,6 +12,7 @@ assignment is admissible; the optimum is binary.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 from .exact import ONE, ZERO, Vec
@@ -73,8 +74,9 @@ def graph_from_adjacency(matrix) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse either an edge-list ('p <n> <m>' then 'e <u> <v>' lines,
-    'c' comments) or a JSON object with an "adjacency" matrix."""
+    """Parse either an edge-list ('p <n> <m>', or DIMACS 'p <format> <n> <m>',
+    then 'e <u> <v>' lines, 'c' comments) or a JSON object with an
+    "adjacency" matrix."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -94,17 +96,19 @@ def parse_graph(text: str) -> Graph:
         parts = line.split()
         if parts[0] == "p":
             try:
+                if len(parts) not in (3, 4):
+                    raise ValueError("expected 'p [<format>] <n> <m>'")
                 n, declared_edges = int(parts[-2]), int(parts[-1])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise GraphError(f"bad problem line {lineno}: {raw!r}") from exc
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"edge before problem line at line {lineno}")
             try:
-                u, v = int(parts[1]), int(parts[2])
-            except (ValueError, IndexError) as exc:
+                _, u, v = parts
+                edges.append((int(u), int(v)))
+            except ValueError as exc:
                 raise GraphError(f"bad edge line {lineno}: {raw!r}") from exc
-            edges.append((u, v))
         else:
             raise GraphError(f"unrecognized line {lineno}: {raw!r}")
     if n is None:
@@ -118,13 +122,15 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(source) -> Graph:
-    """Load a graph from a Graph, inline content, or a file path.  Text is
-    inline when it spans lines, is a JSON object or starts with an edge
-    list's problem line ('p <n> <m>'); any other text names a file."""
+    """Load a graph from a Graph, inline content, or a file path.  Text that
+    names an existing file is read from it.  Other text is inline when it
+    spans lines, is a JSON object or starts with an edge list's problem line
+    ('p <n> <m>'), and names a file otherwise."""
     if isinstance(source, Graph):
         return source
     text = str(source)
-    if "\n" not in text and not text.lstrip().startswith(("{", "p ", "p\t")):
+    inline = "\n" in text or text.lstrip().startswith(("{", "p ", "p\t"))
+    if os.path.isfile(text) or not inline:
         try:
             with open(text, encoding="utf-8") as fh:
                 text = fh.read()
@@ -200,34 +206,19 @@ def verify_structure(result: CoverResult, g: Graph) -> StructureReport:
     ext = extremal_solutions(inst, cls)
     checks = []
 
+    def check(name: str, ok: bool, detail: str) -> None:
+        checks.append(StructureCheck(name, ok, "" if ok else detail))
+
     all_eq = not cls.diag_gt and not cls.diag_lt and len(cls.diag_eq) == g.n
-    checks.append(
-        StructureCheck(
-            "all-rows-diag-eq",
-            all_eq,
-            "" if all_eq else f"gt={cls.diag_gt} lt={cls.diag_lt}",
-        )
-    )
+    check("all-rows-diag-eq", all_eq, f"gt={cls.diag_gt} lt={cls.diag_lt}")
 
     stats = result.solution.statistics
     full = stats.enumerated == 2**g.n and stats.admissible == 2**g.n
-    checks.append(
-        StructureCheck(
-            "every-assignment-admissible",
-            full,
-            "" if full else f"enumerated={stats.enumerated} admissible={stats.admissible}",
-        )
-    )
+    detail = f"enumerated={stats.enumerated} admissible={stats.admissible}"
+    check("every-assignment-admissible", full, detail)
 
     twos = tuple(i for i, v in sorted(result.selector.items()) if v == 2)
-    has_two = not g.edges or bool(twos)
-    checks.append(
-        StructureCheck(
-            "some-variant-2",
-            has_two,
-            "" if has_two else "no row chose variant 2 despite edges",
-        )
-    )
+    check("some-variant-2", not g.edges or bool(twos), "no row chose variant 2 despite edges")
 
     adjacency = g.adjacency
     clash = next(
@@ -239,13 +230,8 @@ def verify_structure(result: CoverResult, g: Graph) -> StructureReport:
         ),
         None,
     )
-    checks.append(
-        StructureCheck(
-            "variant-2-rows-independent",
-            clash is None,
-            "" if clash is None else f"adjacent rows {clash} both chose variant 2",
-        )
-    )
+    detail = f"adjacent rows {clash} both chose variant 2"
+    check("variant-2-rows-independent", clash is None, detail)
 
     pin_ok = all(
         ext.max_pin[i] == tuple(ZERO if j == i else ONE for j in range(1, g.n + 1))
@@ -256,12 +242,6 @@ def verify_structure(result: CoverResult, g: Graph) -> StructureReport:
         == tuple(ZERO if adjacency[i - 1][j - 1] else ONE for j in range(1, g.n + 1))
         for i in cls.diag_eq
     )
-    checks.append(
-        StructureCheck(
-            "masks-complement-adjacency",
-            pin_ok and cap_ok,
-            "" if pin_ok and cap_ok else f"pin_ok={pin_ok} cap_ok={cap_ok}",
-        )
-    )
+    check("masks-complement-adjacency", pin_ok and cap_ok, f"pin_ok={pin_ok} cap_ok={cap_ok}")
 
     return StructureReport(checks=tuple(checks))

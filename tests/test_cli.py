@@ -54,6 +54,28 @@ def test_human_output_matches_golden(capsys, monkeypatch, name):
     assert "".join(kept) == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def test_file_names_that_look_like_content(capsys, monkeypatch, tmp_path):
+    """A path that names an existing file is read, whatever it starts with."""
+    monkeypatch.chdir(tmp_path)
+    Path("{a}.json").write_text(json.dumps({"A": [["0.5"]], "b": ["0.5"], "c": ["1"]}))
+    Path("p g.col").write_text("p 2 1\ne 1 2\n")
+    for argv in (
+        ("solve", "{a}.json"),
+        ("region", "{a}.json"),
+        ("check", "{a}.json", "--x", "0.5"),
+        ("reduce", "{a}.json"),
+        ("extremals", "{a}.json"),
+        ("oracle", "{a}.json"),
+        ("oracle", "{a}.json", "--sample", "5"),
+        ("vc", "p g.col"),
+        ("oracle", "p g.col"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    _, out, _ = run_cli(capsys, "vc", "p g.col", "--json")
+    assert json.loads(out)["size"] == 1
+
+
 def test_solve_exit_codes(capsys, infeasible_file, tmp_path):
     assert run_cli(capsys, "solve", DEMO)[0] == 0
     assert run_cli(capsys, "solve", infeasible_file)[0] == 1

@@ -88,6 +88,17 @@ def test_gate_detects_synthetic_crossing():
     assert verdict.rows == (1,)
 
 
+def test_unvalidated_instance_reaches_bound_crossing():
+    # an Instance built directly skips the loader's [0, 1] check, so b = 2 puts
+    # the combined lower bound above the all-ones diag_gt upper bound
+    inst = Instance(n=1, A=((2,),), b=(2,), c=(1,), sense="min")
+    crossing = (CAUSE_BOUND_CROSSING, (1,))
+    sol = solve(inst)
+    assert not sol.optimal and (sol.cause.cause, sol.cause.rows) == crossing
+    cells, cause = solver.resolve_region(inst)
+    assert cells == [] and (cause.cause, cause.rows) == crossing
+
+
 def test_demo_enumeration_counts(demo10):
     sol = solve(demo10)
     assert sol.statistics.enumerated == 8

@@ -49,6 +49,8 @@ def test_parse_json_adjacency():
         ("p 2 5\ne 1 2\n", "declares 5 edges"),
         ("p 2 0\nq 1 2\n", "unrecognized"),
         ("e 1 2\n", "before problem"),
+        ("p 2 1\ne 1 2 9\n", "bad edge line"),
+        ("p a b 3 1\ne 1 2\n", "bad problem line"),
         ('{"edges": [[1, 2]]}', "adjacency"),
         ('{"adjacency": [[0, 1], [0, 0]]}', "symmetric"),
         ('{"adjacency": [[1]]}', "self-loop"),
@@ -64,12 +66,15 @@ def test_parse_rejects_malformed(text, match):
         load_graph(text)
 
 
-def test_load_graph_reads_one_line_edge_list_inline(tmp_path):
+def test_load_graph_reads_one_line_edge_list_inline(tmp_path, monkeypatch):
     assert load_graph("p 1 0") == load_graph("p 1 0\n") == make_graph(1, [])
     assert load_graph("p edge 2 0") == make_graph(2, [])
     missing = str(tmp_path / "missing.col")
     with pytest.raises(GraphError, match="cannot read graph file.*missing.col"):
         load_graph(missing)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(GraphError, match="cannot read graph file.*missing.col"):
+        load_graph("missing.col")
     path = tmp_path / "k3.col"
     path.write_text(graph_to_doc(TRIANGLE))
     assert load_graph(str(path)) == TRIANGLE
