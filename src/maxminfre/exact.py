@@ -26,6 +26,8 @@ ONE = Fraction(1)
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 _INT_LIMIT = 10 ** (MAX_EXPONENT + 1)  # int and Fraction parts: as many digits as 1e1000
+# "0.66", "-13", "007.50": ASCII digits, an optional minus and point, nothing else
+_PLAIN_DECIMAL = re.compile(r"-?[0-9]+(?:\.([0-9]+))?")
 
 
 def parse_scalar(value) -> Fraction:
@@ -35,7 +37,19 @@ def parse_scalar(value) -> Fraction:
     decimal repr, which recovers the decimal literal they were written as.
     Values without a finite decimal form, such as "1/3", are rejected, and so
     is an int or Fraction with more digits than 10**MAX_EXPONENT has.
+
+    A plain decimal string is read as its digits over a power of ten, which
+    is what ``Fraction(text)`` computes, without its general pattern.  When
+    int() refuses that many digits, the general path words the rejection.
     """
+    if type(value) is str:
+        match = _PLAIN_DECIMAL.fullmatch(value)
+        if match is not None:
+            places = match.group(1) or ""
+            try:
+                return Fraction(int(value.replace(".", "")), 10 ** len(places))
+            except ValueError:
+                pass
     if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
         raise ValueError(f"not a numeric scalar: {value!r}")
     text = repr(value) if isinstance(value, float) else value

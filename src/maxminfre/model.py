@@ -15,6 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .exact import ZERO, Vec, decimal_str, parse_scalar, quoted
 
@@ -83,6 +84,29 @@ def _scalar(value, what: str, unit: bool = True) -> Fraction:
     return parsed
 
 
+def _distinct_unit_values(A, b) -> dict[str, Fraction] | None:
+    """Each distinct string of A and b parsed and range-checked once, or None
+    when some value is not a str, cannot be hashed or is rejected.
+
+    The set holds every value up to equality, and only a str equals a str,
+    so a value of any other type shows up in it.
+    """
+    try:
+        distinct = set(chain.from_iterable(A))
+        distinct.update(b)
+    except TypeError:  # an unhashable value, such as a nested list
+        return None
+    memo = {}
+    for text in distinct:
+        if type(text) is not str:
+            return None
+        try:
+            memo[text] = _scalar(text, "")
+        except InstanceError:
+            return None
+    return memo
+
+
 def instance_from_doc(doc: dict) -> Instance:
     """Validate a parsed instance document and build an Instance.
 
@@ -103,29 +127,16 @@ def instance_from_doc(doc: dict) -> Instance:
     if sense is None:
         raise InstanceError(f"sense must be min or max, got {doc.get('sense')!r}")
 
-    # Each distinct string of A and b is parsed once.  The memo is keyed on the
-    # exact str, never on a value (True == 1 == Fraction(1) hash alike), and
-    # holds only accepted values, so a miss reports its own field.  c has no
-    # [0, 1] check, so it keeps its own parse.
-    memo: dict[str, Fraction] = {}
-
-    def unit(value, what: str) -> Fraction:
-        parsed = _scalar(value, what)
-        if type(value) is str:
-            memo[value] = parsed
-        return parsed
-
-    A = [
-        [
-            memo[v] if type(v) is str and v in memo else unit(v, f"A[{i}][{j}]")
-            for j, v in enumerate(row, start=1)
+    memo = _distinct_unit_values(doc["A"], doc["b"])
+    if memo is not None:
+        A = [list(map(memo.__getitem__, row)) for row in doc["A"]]
+        b = list(map(memo.__getitem__, doc["b"]))
+    else:  # entry by entry, so the first bad field in row-major order is named
+        A = [
+            [_scalar(v, f"A[{i}][{j}]") for j, v in enumerate(row, start=1)]
+            for i, row in enumerate(doc["A"], start=1)
         ]
-        for i, row in enumerate(doc["A"], start=1)
-    ]
-    b = [
-        memo[v] if type(v) is str and v in memo else unit(v, f"b[{i}]")
-        for i, v in enumerate(doc["b"], start=1)
-    ]
+        b = [_scalar(v, f"b[{i}]") for i, v in enumerate(doc["b"], start=1)]
     c = [_scalar(v, f"c[{j}]", unit=False) for j, v in enumerate(doc["c"], start=1)]
 
     m = len(A)

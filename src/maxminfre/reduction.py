@@ -25,12 +25,18 @@ Rules fire in a single pass each, in ascending index order, following the
 solve pipeline: 1, 2, 3, then 4+5, then 6+7.  Emptied domains are recorded
 as infeasibility verdicts, never raised.  Every rule compares integer ranks
 from the solve's one rank table (``initial_state``), never ``Fraction``s.
+
+Rules 6 and 7 ask, for each pinned row r, which diag_lt rows s hold r in
+their anchor domain.  Rather than test r against every anchor domain, they
+read an index built once: per column, a bitmask of the diag_lt rows whose
+anchor domain holds it, walked from the lowest bit up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exact import ONE, ZERO, rank_table, ranked
 from .extremals import BoundVectors, ExtremalSet, Lanes, RowClassification
@@ -55,8 +61,10 @@ class Infeasibility:
         return self.cause
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One removal: a tuple, which is several times cheaper to build than a
+    frozen dataclass, and the rules of a wide instance make hundreds."""
+
     rule: int
     target: int  # row whose selector domain shrank
     removed: int  # variant (1/2) or anchor column
@@ -111,7 +119,7 @@ class ReductionState:
             removed.setdefault(row, set()).add(value)
             self.trace.append(TraceEvent(rule, row, value, witness))
         for row, values in removed.items():
-            dom[row] = tuple(v for v in dom[row] if v not in values)
+            dom[row] = tuple([v for v in dom[row] if v not in values])
 
 
 def initial_state(
@@ -220,16 +228,33 @@ def apply_cross_rules(state: ReductionState) -> ReductionState:
 
 def apply_pinned_rules(state: ReductionState) -> ReductionState:
     """Rules 6 and 7: a row pinned to variant 1 keeps its own coordinate at
-    its target, so it cannot anchor a row with a strictly larger target."""
-    target = state.target
+    its target, so it cannot anchor a row with a strictly larger target.
+
+    ``holders[r]`` has bit k set when column r is in the anchor domain of
+    the k-th diag_lt row, so the rows that r could anchor are read off its
+    set bits, lowest first, which keeps the hits in (r, s) order.  One index
+    serves both rules: rule 6 removes only diag_eq columns, and rule 7 asks
+    only about diag_lt columns.  A row s = r never hits, since its target is
+    not larger than its own.
+    """
+    target, lt_rows = state.target, state.lt_rows
+    holders: dict[int, int] = {}
+    for k, s in enumerate(lt_rows):
+        bit = 1 << k
+        for r in state.anchor_dom[s]:
+            holders[r] = holders.get(r, 0) | bit
     for rule, dom, rows in ((6, state.eq_dom, state.eq_rows), (7, state.lt_dom, state.lt_rows)):
-        hits = [
-            (s, r, (r, s))
-            for r in rows
-            if dom[r] == (1,)
-            for s in state.lt_rows
-            if s != r and target[r] < target[s] and r in state.anchor_dom[s]
-        ]
+        hits = []
+        for r in rows:
+            if dom[r] != (1,):
+                continue
+            t, mask = target[r], holders.get(r, 0)
+            while mask:
+                low = mask & -mask
+                s = lt_rows[low.bit_length() - 1]
+                if t < target[s]:
+                    hits.append((s, r, (r, s)))
+                mask ^= low
         state._prune(rule, state.anchor_dom, hits)
         state.snapshot(f"rule{rule}")
     _exhaustion(state, (CAUSE_ANCHORS, state.anchor_dom))

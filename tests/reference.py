@@ -1,5 +1,5 @@
-"""Fraction-compare reference for the library's classification, extremals,
-bounds, gate and rules.
+"""Fraction-compare reference for the library's scalar parse, classification,
+extremals, bounds, gate and rules.
 
 These are the plain definitions that the library implements with cross
 products (``classify_rows``), vectors built on first read
@@ -8,13 +8,18 @@ integer ranks (``gate_feasibility`` and the seven rules): every comparison
 is a ``Fraction`` comparison, every extremal vector is built up front and
 scanned in full, and every removal rebuilds its domain.  The differential
 tests compare the library against them.
+
+``parse_scalar`` reads every string through ``Fraction(text)``, which the
+library skips for plain decimals, and ``unit_scalar`` checks one A or b
+entry and words its errors as the loader's entry-by-entry path does.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
-from maxminfre.exact import ONE, ZERO
+from maxminfre.exact import _INT_LIMIT, MAX_EXPONENT, ONE, ZERO, _check_exponent, quoted
 from maxminfre.extremals import (
     BoundVectors,
     RowClassification,
@@ -22,6 +27,7 @@ from maxminfre.extremals import (
     vec_max,
     vec_min,
 )
+from maxminfre.model import InstanceError
 from maxminfre.reduction import (
     CAUSE_ANCHORS,
     CAUSE_BOUND_CROSSING,
@@ -31,6 +37,34 @@ from maxminfre.reduction import (
     Infeasibility,
     TraceEvent,
 )
+
+
+def parse_scalar(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
+        raise ValueError(f"not a numeric scalar: {value!r}")
+    text = repr(value) if isinstance(value, float) else value
+    if isinstance(text, str):
+        _check_exponent(text)
+    try:
+        parsed = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a decimal scalar: {quoted(text)}") from exc
+    d = parsed.denominator
+    if not isinstance(text, str) and max(abs(parsed.numerator), d) >= _INT_LIMIT:
+        raise ValueError(f"{type(value).__name__} with more than {MAX_EXPONENT + 1} digits")
+    if pow(10, d.bit_length(), d):
+        raise ValueError(f"{value!r} has no finite decimal form")
+    return parsed
+
+
+def unit_scalar(value, what: str) -> Fraction:
+    try:
+        parsed = parse_scalar(value)
+    except ValueError as exc:
+        raise InstanceError(f"{what}: {exc}") from exc
+    if not ZERO <= parsed <= ONE:
+        raise InstanceError(f"{what} = {quoted(value)} outside [0, 1]")
+    return parsed
 
 
 def classify_rows(inst) -> RowClassification:

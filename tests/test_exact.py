@@ -11,6 +11,8 @@ from maxminfre.exact import (
     parse_scalar,
 )
 
+from . import reference
+
 
 def test_parse_decimal_strings_exactly():
     assert parse_scalar("0.66") == Fraction(66, 100)
@@ -65,3 +67,47 @@ def test_decimal_places():
 def test_decimal_str_parse_round_trip(numerator, places):
     value = Fraction(numerator, 10**places)
     assert parse_scalar(decimal_str(value)) == value
+
+
+# Plain decimals take the fast path: signs, leading zeros, short and long
+# fractional parts.
+_plain_decimals = st.builds(
+    lambda sign, zeros, whole, places: sign + "0" * zeros + str(whole) + places,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 3),
+    st.integers(0, 10**30),
+    st.just("") | st.text("0123456789", min_size=1, max_size=40).map(lambda d: "." + d),
+)
+# Everything else takes the general path, plain decimals with more digits
+# than int() converts included.
+_general_forms = st.one_of(
+    st.sampled_from(
+        [
+            "1e5", "5e-1", "1E+1_001", "1e5000", "+1", "+0.5", " 1", "1 ", "1\n", "1_0",
+            ".5", "1.", "-.5", "1/3", "2/4", "1/0", "\u0661", "\u0660.\u0665", "nan",
+            "inf", "", "-", "0x10", "0." + "1" * 5000, "1" * 5000, "-" + "9" * 4301,
+            "9" * 3000 + "." + "9" * 3000,
+        ]
+    ),
+    st.from_regex(r"[-+]?[0-9]*\.?[0-9]*([eE][-+]?[0-9]{1,4})?", fullmatch=True),
+    st.text(max_size=8),
+    st.integers(),
+    st.floats(),
+    st.fractions(),
+    st.sampled_from([True, None, [1]]),
+)
+
+
+@given(st.one_of(_plain_decimals, _general_forms))
+def test_parse_scalar_matches_reference(value):
+    """The same Fraction, or the same ValueError message, as reading every
+    string through Fraction(text)."""
+    try:
+        expected = reference.parse_scalar(value)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_scalar(value)
+        assert str(got.value) == str(exc)
+    else:
+        parsed = parse_scalar(value)
+        assert parsed == expected and type(parsed) is Fraction

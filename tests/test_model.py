@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from maxminfre import (
 )
 from maxminfre.exact import ZERO, decimal_str, parse_scalar
 from maxminfre.generate import random_fre_doc
-from maxminfre.model import instance_from_doc
+from maxminfre.model import instance_from_doc, parse_json
 
 from .conftest import (
     DEMO_OPTIMUM,
@@ -28,6 +29,7 @@ from .conftest import (
     instances,
     json_values,
 )
+from .reference import unit_scalar
 
 
 def test_load_smallest_instance():
@@ -150,6 +152,61 @@ def test_loaded_instance_equals_entrywise_parse(seed):
         assert inst == expected
         assert all(type(v) is Fraction for row in inst.A for v in row)
         assert all(type(v) is Fraction for v in inst.b + inst.c)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_plain_decimal_beyond_the_int_digit_limit_names_its_field():
+    """int() refuses more than 4300 digits, and Fraction(text) with it."""
+    doc = {"A": [["0.5", "0." + "1" * 5000]] * 2, "b": ["0.5"] * 2, "c": ["1"] * 2}
+    message = "A[1][2]: not a decimal scalar: '0.11111111111111111111111111111111111...'"
+    with pytest.raises(InstanceError, match=re.escape(message) + "$"):
+        load_instance(doc)
+
+
+# Spellings of a few values, then the entries that make the loader fall back:
+# out-of-range and rejected strings, numbers as an API caller passes them, and
+# values that are no scalar at all.
+_spellings = st.sampled_from(["0.5", "0.50", "5e-1", "00.5", "0", "-0", "0.00", "1", "1.0", "0.25"])
+_odd_entries = st.one_of(
+    st.sampled_from(["1.5", "-0.25", "1/3", "2/4", " 0.5", "x", "1e5000", "0." + "1" * 5000]),
+    st.integers(-1, 2) | st.floats(-0.5, 1.5) | st.fractions(-1, 2, max_denominator=8),
+    st.sampled_from([True, False, None, ["0.5"], [], {"0": 1}]),
+)
+
+
+@st.composite
+def _loader_docs(draw):
+    """An n x n document of spellings with up to three odd entries put in."""
+    n = draw(st.integers(1, 4))
+    A = draw(st.lists(st.lists(_spellings, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = draw(st.lists(_spellings, min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n)), draw(st.integers(0, n - 1))
+        (b if i == n else A[i])[j] = draw(_odd_entries)
+    return {"A": A, "b": b, "c": ["1"] * n}
+
+
+@given(_loader_docs())
+def test_loader_matches_entrywise_reference(doc):
+    """The distinct-first load gives the entry-by-entry parse, or its error
+    naming the first bad field; from the dict and from its JSON text."""
+    for doc in (doc, parse_json(json.dumps(doc, default=str))):
+        try:
+            A = [
+                [unit_scalar(v, f"A[{i}][{j}]") for j, v in enumerate(row, start=1)]
+                for i, row in enumerate(doc["A"], start=1)
+            ]
+            b = [unit_scalar(v, f"b[{i}]") for i, v in enumerate(doc["b"], start=1)]
+        except InstanceError as exc:
+            with pytest.raises(InstanceError) as got:
+                instance_from_doc(doc)
+            assert str(got.value) == str(exc)
+        else:
+            inst = instance_from_doc(doc)
+            assert inst.A == tuple(map(tuple, A)) and inst.b == tuple(b)
+            assert all(type(v) is Fraction for row in inst.A for v in row + inst.b)
 
 
 def test_squarify_keeps_square_input():
