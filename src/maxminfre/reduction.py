@@ -62,8 +62,8 @@ class Infeasibility:
 
 
 class TraceEvent(NamedTuple):
-    """One removal: a tuple, which is several times cheaper to build than a
-    frozen dataclass, and the rules of a wide instance make hundreds."""
+    """One removal.  A NamedTuple builds in about half the time of a frozen
+    dataclass, and the rules of a 64-row instance make hundreds."""
 
     rule: int
     target: int  # row whose selector domain shrank
