@@ -15,18 +15,14 @@ from .extremals import (
     ExtremalSet,
     RowClassification,
     aggregate_bounds,
-    cell_of,
     classify_rows,
     extremal_solutions,
-    selector_bounds,
 )
 from .model import (
     Instance,
     InstanceError,
     MembershipReport,
     check_membership,
-    compose_row,
-    instance_to_doc,
     load_instance,
     squarify,
 )

@@ -27,8 +27,6 @@ from functools import cached_property
 from .exact import ONE, ZERO, Vec
 from .model import Instance
 
-VARIANTS = (1, 2)
-
 
 def vec_min(*vecs: Vec) -> Vec:
     return tuple(map(min, *vecs))
@@ -168,71 +166,14 @@ def aggregate_bounds(ext: ExtremalSet, cls: RowClassification) -> BoundVectors:
 
 
 @dataclass(frozen=True)
-class SelectorBounds:
-    upper_eq: Vec  # min of chosen diag_eq maximal variants
-    upper_lt: Vec  # min of chosen diag_lt maximal variants
-    lower_lt: Vec  # max of chosen diag_lt anchored minimals
-
-
-def selector_bounds(
-    ext: ExtremalSet,
-    cls: RowClassification,
-    eq_choice: dict[int, int],
-    lt_choice: dict[int, int],
-    anchor: dict[int, int],
-) -> SelectorBounds:
-    """Bounds induced by one choice of variants and anchors.
-
-    ``eq_choice`` picks a maximal variant per diag_eq row, ``lt_choice`` per
-    diag_lt row, and ``anchor`` picks the anchored minimal per diag_lt row;
-    anchors must lie in the row's support.
-    """
-    n = cls.n
-    zeros = (ZERO,) * n
-    ones = (ONE,) * n
-    for i in cls.diag_eq:
-        if eq_choice.get(i) not in VARIANTS:
-            raise ValueError(f"eq choice for row {i} must be 1 or 2")
-    for i in cls.diag_lt:
-        if lt_choice.get(i) not in VARIANTS:
-            raise ValueError(f"lt choice for row {i} must be 1 or 2")
-        if anchor.get(i) not in cls.support[i]:
-            raise ValueError(f"anchor for row {i} must lie in its support")
-    upper_eq = (
-        vec_min(ones, *(ext.maximal(i, eq_choice[i]) for i in cls.diag_eq))
-        if cls.diag_eq
-        else ones
-    )
-    upper_lt = (
-        vec_min(ones, *(ext.maximal(i, lt_choice[i]) for i in cls.diag_lt))
-        if cls.diag_lt
-        else ones
-    )
-    lower_lt = (
-        vec_max(zeros, *(ext.min_anchor[i, anchor[i]] for i in cls.diag_lt))
-        if cls.diag_lt
-        else zeros
-    )
-    return SelectorBounds(upper_eq=upper_eq, upper_lt=upper_lt, lower_lt=lower_lt)
-
-
-@dataclass(frozen=True)
 class Cell:
     """Axis-aligned box {x : lower <= x <= upper componentwise}."""
 
     lower: Vec
     upper: Vec
 
-    @property
-    def is_empty(self) -> bool:
-        return not vec_le(self.lower, self.upper)
-
     def contains(self, x: Vec) -> bool:
         return vec_le(self.lower, x) and vec_le(x, self.upper)
-
-    def dominates(self, other: "Cell") -> bool:
-        """True when this box contains the other box entirely."""
-        return vec_le(self.lower, other.lower) and vec_le(other.upper, self.upper)
 
 
 class Lanes:
@@ -274,9 +215,3 @@ class Lanes:
     def decode(self, lower: int, upper: int) -> Cell:
         return Cell(*(tuple(self.grid[r] for r in self.unpack(side)) for side in (lower, upper)))
 
-
-def cell_of(bounds: BoundVectors, sel: SelectorBounds) -> Cell:
-    return Cell(
-        lower=vec_max(bounds.lower, sel.lower_lt),
-        upper=vec_min(bounds.upper_gt, sel.upper_eq, sel.upper_lt),
-    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .exact import ZERO, Vec, decimal_str, parse_scalar, quoted
+from .exact import ZERO, Vec, parse_scalar, quoted
 
 
 class InstanceError(ValueError):
@@ -36,9 +36,6 @@ class Instance:
     def rows(self) -> range:
         """Row/column indices; everything user-facing is 1-based."""
         return range(1, self.n + 1)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.A[i - 1][j - 1]
 
 
 @dataclass(frozen=True)
@@ -187,31 +184,11 @@ def load_instance(source) -> Instance:
     return instance_from_doc(parse_json(text))
 
 
-def instance_to_doc(inst: Instance) -> dict:
-    """Serialize with decimal strings so a reparse is exact."""
-    return {
-        "A": [[decimal_str(v) for v in row] for row in inst.A],
-        "b": [decimal_str(v) for v in inst.b],
-        "c": [decimal_str(v) for v in inst.c],
-        "sense": inst.sense,
-    }
-
-
 def _validated_x(inst: Instance, x) -> Vec:
     vec = tuple(_scalar(v, f"x[{j}]") for j, v in enumerate(x, start=1))
     if len(vec) != inst.n:
         raise InstanceError(f"x has {len(vec)} entries for order {inst.n}")
     return vec
-
-
-def compose_row(inst: Instance, i: int, x) -> Fraction:
-    """Row value max_j min{a_ij, x_i, x_j}."""
-    if not 1 <= i <= inst.n:
-        raise InstanceError(f"row index {i} outside 1..{inst.n}")
-    vec = _validated_x(inst, x)
-    xi = vec[i - 1]
-    row = inst.A[i - 1]
-    return max(min(row[j], xi, vec[j]) for j in range(inst.n))
 
 
 def check_membership(inst: Instance, x) -> MembershipReport:

@@ -10,8 +10,6 @@ can cross-check it:
 * ``sample_feasibility`` compares membership against box-union containment on
   quantized uniform samples.
 * ``brute_force_cover`` enumerates vertex subsets by increasing size.
-* ``specialized_cover`` searches the variant assignments of the cover
-  instance directly, pruning adjacent variant-2 pairs.
 """
 
 from __future__ import annotations
@@ -124,41 +122,3 @@ def brute_force_cover(g: Graph, limit: int = COVER_LIMIT) -> CoverOracleResult:
                 return CoverOracleResult(size=size, cover=subset)
     raise AssertionError("the full vertex set always covers")
 
-
-def specialized_cover(g: Graph) -> tuple[Vec, tuple[int, ...]]:
-    """Optimum x and lex-smallest variant assignment of the cover instance,
-    by direct search over variant assignments with forward pruning.
-
-    Assigning variant 2 to a row zeroes its neighbors' coordinates, so two
-    adjacent rows never both need variant 2: whenever a neighbor already
-    holds 2, only variant 1 is tried.  The first-found best keeps the
-    lexicographically smallest assignment.
-    """
-    n = g.n
-    adjacency = g.adjacency
-    ones: Vec = (ONE,) * n
-    best_vec: Vec | None = None
-    best_sum: Fraction | None = None
-    best_assign: tuple[int, ...] | None = None
-
-    def descend(row: int, cur: Vec, assign: tuple[int, ...]):
-        nonlocal best_vec, best_sum, best_assign
-        if row > n:
-            total = sum(cur, ZERO)
-            if best_sum is None or total > best_sum:
-                best_vec, best_sum, best_assign = cur, total, assign
-            return
-        pinned = tuple(
-            cur[j] if j != row - 1 else min(cur[j], ZERO) for j in range(n)
-        )
-        descend(row + 1, pinned, assign + (1,))
-        if any(assign[v - 1] == 2 for v in range(1, row) if adjacency[row - 1][v - 1]):
-            return
-        capped = tuple(
-            min(cur[j], ZERO) if adjacency[row - 1][j] else cur[j] for j in range(n)
-        )
-        descend(row + 1, capped, assign + (2,))
-
-    descend(1, ones, ())
-    assert best_vec is not None and best_assign is not None
-    return best_vec, best_assign

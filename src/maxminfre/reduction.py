@@ -108,7 +108,8 @@ class ReductionState:
 
     def _prune(self, rule: int, dom: dict, hits) -> None:
         """Trace every (row, removed value, witness) hit of one rule in
-        order, then rebuild each hit row's domain tuple once.
+        order, rebuild each hit row's domain tuple once, then snapshot the
+        domains as stage ``rule{k}``.
 
         This equals removing the values one by one as they are found: no
         check of a rule reads a domain value that the same rule removes,
@@ -120,6 +121,7 @@ class ReductionState:
             self.trace.append(TraceEvent(rule, row, value, witness))
         for row, values in removed.items():
             dom[row] = tuple([v for v in dom[row] if v not in values])
+        self.snapshot(f"rule{rule}")
 
 
 def initial_state(
@@ -175,7 +177,6 @@ def apply_bound_rules(state: ReductionState) -> ReductionState:
                 if hit is not None:
                     hits.append((row, variant, (hit,)))
         state._prune(rule, dom, hits)
-        state.snapshot(f"rule{rule}")
     _exhaustion(state, (CAUSE_EQ_VARIANTS, state.eq_dom), (CAUSE_LT_VARIANTS, state.lt_dom))
     return state
 
@@ -191,7 +192,6 @@ def apply_minimal_rule3(state: ReductionState) -> ReductionState:
         if target[row] > upper[j - 1]
     ]
     state._prune(3, state.anchor_dom, hits)
-    state.snapshot("rule3")
     _exhaustion(state, (CAUSE_ANCHORS, state.anchor_dom))
     return state
 
@@ -221,7 +221,6 @@ def apply_cross_rules(state: ReductionState) -> ReductionState:
             if s is not None:
                 hits.append((r, 2, (r, s)))
         state._prune(rule, dom, hits)
-        state.snapshot(f"rule{rule}")
     _exhaustion(state, (CAUSE_EQ_VARIANTS, state.eq_dom), (CAUSE_LT_VARIANTS, state.lt_dom))
     return state
 
@@ -256,7 +255,6 @@ def apply_pinned_rules(state: ReductionState) -> ReductionState:
                     hits.append((s, r, (r, s)))
                 mask ^= low
         state._prune(rule, state.anchor_dom, hits)
-        state.snapshot(f"rule{rule}")
     _exhaustion(state, (CAUSE_ANCHORS, state.anchor_dom))
     return state
 
@@ -270,14 +268,7 @@ def reduce_domains(
     """Full rule pipeline; stops early once infeasibility is recorded.  ``inst``
     is not read: the rules take the row targets from ``ext``."""
     state = initial_state(ext, cls, bounds)
-    apply_bound_rules(state)
-    if state.infeasible:
-        return state
-    apply_minimal_rule3(state)
-    if state.infeasible:
-        return state
-    apply_cross_rules(state)
-    if state.infeasible:
-        return state
-    apply_pinned_rules(state)
+    for rules in (apply_bound_rules, apply_minimal_rule3, apply_cross_rules, apply_pinned_rules):
+        if rules(state).infeasible:
+            break
     return state

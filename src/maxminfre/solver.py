@@ -123,9 +123,6 @@ class Triple:
     lt_rows: tuple[int, ...]
     lt_choices: tuple[int, ...]
 
-    def key(self) -> tuple:
-        return (self.anchors, self.eq_choices, self.lt_choices)
-
     @property
     def eq_choice(self) -> dict[int, int]:
         return dict(zip(self.eq_rows, self.eq_choices))
@@ -334,14 +331,18 @@ def _frontier(state: ReductionState, levels: list, picks: list | None = None) ->
     return frontier
 
 
+def _takes_upper(c: Vec, sense: str) -> list[bool]:
+    """Per coordinate j, whether a box's best point takes the upper bound:
+    a nonnegative c_j takes the lower bound when minimizing and the upper
+    when maximizing, a negative c_j the other one."""
+    minimize = sense == "min"
+    return [(cj >= ZERO) != minimize for cj in c]
+
+
 def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
     """Per-box optimum: coordinates split by cost sign between the bounds."""
-    take_lower_on_nonneg = sense == "min"
     x = tuple(
-        (cell.lower[j] if take_lower_on_nonneg else cell.upper[j])
-        if c[j] >= ZERO
-        else (cell.upper[j] if take_lower_on_nonneg else cell.lower[j])
-        for j in range(len(c))
+        [cell.upper[j] if up else cell.lower[j] for j, up in enumerate(_takes_upper(c, sense))]
     )
     objective = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
     return Candidate(triple=triple, cell=cell, x=x, objective=objective)
@@ -350,20 +351,18 @@ def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
 def _picks(lanes: Lanes, c: Vec, sense: str) -> list:
     """Per coordinate (shift, side, table): the exact objective term of a
     packed box as an int, smaller is better, is ``table[rank]`` of the lane
-    at ``shift`` in ``box[side]``.  The box picks its bounds as
-    ``make_candidate`` does, and each c_j * grid[r] is multiplied by the lcm
-    of the c denominators times the lcm of the grid denominators, which
-    makes it an integer (negated for max)."""
+    at ``shift`` in ``box[side]``.  The side is ``_takes_upper``'s, as in
+    ``make_candidate``, and each c_j * grid[r] is multiplied by the lcm of
+    the c denominators times the lcm of the grid denominators, which makes
+    it an integer (negated for max)."""
     grid = lanes.grid
     c_scale = math.lcm(*(cj.denominator for cj in c))
     g_scale = math.lcm(*(value.denominator for value in grid))
     grid_ints = [value.numerator * (g_scale // value.denominator) for value in grid]
     sign = 1 if sense == "min" else -1
-    take_lower_on_nonneg = sense == "min"
     picks = []
-    for shift, cj in zip(lanes.shifts, c):
+    for shift, cj, side in zip(lanes.shifts, c, _takes_upper(c, sense)):
         weight = sign * cj.numerator * (c_scale // cj.denominator)
-        side = 0 if (cj >= ZERO) == take_lower_on_nonneg else 1
         picks.append((shift, side, [weight * g for g in grid_ints]))
     return picks
 

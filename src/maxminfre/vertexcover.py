@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import ONE, ZERO, Vec
 from .extremals import classify_rows, extremal_solutions
-from .model import Instance, InstanceError
+from .model import Instance
 from .solver import Solution, solve
 
 
@@ -30,12 +31,14 @@ class Graph:
     n: int
     edges: frozenset[tuple[int, int]]  # normalized u < v, vertices 1..n
 
-    @property
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The 0/1 matrix, built on first read and kept with the graph."""
         rows = [[0] * self.n for _ in range(self.n)]
         for u, v in self.edges:
             rows[u - 1][v - 1] = rows[v - 1][u - 1] = 1
         return tuple(tuple(r) for r in rows)
+
 
 def make_graph(n: int, edges) -> Graph:
     if n < 1:

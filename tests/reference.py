@@ -12,22 +12,46 @@ tests compare the library against them.
 ``parse_scalar`` reads every string through ``Fraction(text)``, which the
 library skips for plain decimals, and ``unit_scalar`` checks one A or b
 entry and words its errors as the loader's entry-by-entry path does.
+
+The rest are references that the library does not need:
+
+* ``selector_bounds`` and ``cell_of`` build the box of one selector triple
+  from the extremal vectors, the definition that the solver's merged walk
+  is checked against; ``is_empty`` and ``dominates`` test such boxes.
+* ``compose_row`` is the row value max_j min{a_ij, x_i, x_j}, the
+  definition that ``check_membership`` is checked against.
+* ``instance_to_doc`` writes an instance with decimal strings, so that a
+  reload is exact.
+* ``specialized_cover`` solves a cover instance by a direct search over
+  variant assignments, the reference for ``solve_cover``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from maxminfre.exact import _INT_LIMIT, MAX_EXPONENT, ONE, ZERO, _check_exponent, quoted
+from maxminfre.exact import (
+    _INT_LIMIT,
+    MAX_EXPONENT,
+    ONE,
+    ZERO,
+    Vec,
+    _check_exponent,
+    decimal_str,
+    quoted,
+)
 from maxminfre.extremals import (
     BoundVectors,
+    Cell,
+    ExtremalSet,
     RowClassification,
     vec_le,
     vec_max,
     vec_min,
 )
-from maxminfre.model import InstanceError
+from maxminfre.model import Instance, InstanceError, _validated_x
 from maxminfre.reduction import (
     CAUSE_ANCHORS,
     CAUSE_BOUND_CROSSING,
@@ -209,7 +233,7 @@ def reduce_domains(inst, cls, ext, bounds) -> State:
             if 2 not in dom[r]:
                 continue
             for s in state.lt_rows:
-                if s != r and inst.entry(r, s) > b[r - 1] and b[r - 1] < b[s - 1]:
+                if s != r and inst.A[r - 1][s - 1] > b[r - 1] and b[r - 1] < b[s - 1]:
                     state.remove(rule, dom, r, 2, (r, s))
                     break
         state.snapshot(f"rule{rule}")
@@ -226,3 +250,130 @@ def reduce_domains(inst, cls, ext, bounds) -> State:
         state.snapshot(f"rule{rule}")
     state.anchor_exhaustion()
     return state
+
+
+VARIANTS = (1, 2)
+
+
+@dataclass(frozen=True)
+class SelectorBounds:
+    upper_eq: Vec  # min of chosen diag_eq maximal variants
+    upper_lt: Vec  # min of chosen diag_lt maximal variants
+    lower_lt: Vec  # max of chosen diag_lt anchored minimals
+
+
+def selector_bounds(
+    ext: ExtremalSet,
+    cls: RowClassification,
+    eq_choice: dict[int, int],
+    lt_choice: dict[int, int],
+    anchor: dict[int, int],
+) -> SelectorBounds:
+    """Bounds induced by one choice of variants and anchors.
+
+    ``eq_choice`` picks a maximal variant per diag_eq row, ``lt_choice`` per
+    diag_lt row, and ``anchor`` picks the anchored minimal per diag_lt row;
+    anchors must lie in the row's support.
+    """
+    n = cls.n
+    zeros = (ZERO,) * n
+    ones = (ONE,) * n
+    for i in cls.diag_eq:
+        if eq_choice.get(i) not in VARIANTS:
+            raise ValueError(f"eq choice for row {i} must be 1 or 2")
+    for i in cls.diag_lt:
+        if lt_choice.get(i) not in VARIANTS:
+            raise ValueError(f"lt choice for row {i} must be 1 or 2")
+        if anchor.get(i) not in cls.support[i]:
+            raise ValueError(f"anchor for row {i} must lie in its support")
+    upper_eq = (
+        vec_min(ones, *(ext.maximal(i, eq_choice[i]) for i in cls.diag_eq))
+        if cls.diag_eq
+        else ones
+    )
+    upper_lt = (
+        vec_min(ones, *(ext.maximal(i, lt_choice[i]) for i in cls.diag_lt))
+        if cls.diag_lt
+        else ones
+    )
+    lower_lt = (
+        vec_max(zeros, *(ext.min_anchor[i, anchor[i]] for i in cls.diag_lt))
+        if cls.diag_lt
+        else zeros
+    )
+    return SelectorBounds(upper_eq=upper_eq, upper_lt=upper_lt, lower_lt=lower_lt)
+
+
+def cell_of(bounds: BoundVectors, sel: SelectorBounds) -> Cell:
+    return Cell(
+        lower=vec_max(bounds.lower, sel.lower_lt),
+        upper=vec_min(bounds.upper_gt, sel.upper_eq, sel.upper_lt),
+    )
+
+
+def is_empty(cell: Cell) -> bool:
+    return not vec_le(cell.lower, cell.upper)
+
+
+def dominates(cell: Cell, other: Cell) -> bool:
+    """True when ``cell`` contains the box ``other`` entirely."""
+    return vec_le(cell.lower, other.lower) and vec_le(other.upper, cell.upper)
+
+
+def compose_row(inst: Instance, i: int, x) -> Fraction:
+    """Row value max_j min{a_ij, x_i, x_j}."""
+    if not 1 <= i <= inst.n:
+        raise InstanceError(f"row index {i} outside 1..{inst.n}")
+    vec = _validated_x(inst, x)
+    xi = vec[i - 1]
+    row = inst.A[i - 1]
+    return max(min(row[j], xi, vec[j]) for j in range(inst.n))
+
+
+def instance_to_doc(inst: Instance) -> dict:
+    """Serialize with decimal strings so a reparse is exact."""
+    return {
+        "A": [[decimal_str(v) for v in row] for row in inst.A],
+        "b": [decimal_str(v) for v in inst.b],
+        "c": [decimal_str(v) for v in inst.c],
+        "sense": inst.sense,
+    }
+
+
+def specialized_cover(g) -> tuple[Vec, tuple[int, ...]]:
+    """Optimum x and lex-smallest variant assignment of the cover instance,
+    by direct search over variant assignments with forward pruning.
+
+    Assigning variant 2 to a row zeroes its neighbors' coordinates, so two
+    adjacent rows never both need variant 2: whenever a neighbor already
+    holds 2, only variant 1 is tried.  The first-found best keeps the
+    lexicographically smallest assignment.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    ones: Vec = (ONE,) * n
+    best_vec: Vec | None = None
+    best_sum: Fraction | None = None
+    best_assign: tuple[int, ...] | None = None
+
+    def descend(row: int, cur: Vec, assign: tuple[int, ...]):
+        nonlocal best_vec, best_sum, best_assign
+        if row > n:
+            total = sum(cur, ZERO)
+            if best_sum is None or total > best_sum:
+                best_vec, best_sum, best_assign = cur, total, assign
+            return
+        pinned = tuple(
+            cur[j] if j != row - 1 else min(cur[j], ZERO) for j in range(n)
+        )
+        descend(row + 1, pinned, assign + (1,))
+        if any(assign[v - 1] == 2 for v in range(1, row) if adjacency[row - 1][v - 1]):
+            return
+        capped = tuple(
+            min(cur[j], ZERO) if adjacency[row - 1][j] else cur[j] for j in range(n)
+        )
+        descend(row + 1, capped, assign + (2,))
+
+    descend(1, ones, ())
+    assert best_vec is not None and best_assign is not None
+    return best_vec, best_assign

@@ -11,8 +11,6 @@ from maxminfre import (
     Instance,
     InstanceError,
     check_membership,
-    compose_row,
-    instance_to_doc,
     load_instance,
     solve,
     squarify,
@@ -29,7 +27,7 @@ from .conftest import (
     instances,
     json_values,
 )
-from .reference import unit_scalar
+from .reference import compose_row, instance_to_doc, unit_scalar
 
 
 def test_load_smallest_instance():

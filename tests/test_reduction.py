@@ -6,11 +6,9 @@ from hypothesis import assume, given, settings
 
 from maxminfre import (
     aggregate_bounds,
-    cell_of,
     classify_rows,
     extremal_solutions,
     load_instance,
-    selector_bounds,
 )
 from maxminfre.extremals import BoundVectors
 from maxminfre.reduction import (
@@ -25,6 +23,7 @@ from maxminfre.reduction import (
 
 from . import reference
 from .conftest import DEMO_SNAPSHOTS, DEMO_TRACE, frac, fracs, instances
+from .reference import cell_of, is_empty, selector_bounds
 
 
 def _pipeline(inst):
@@ -53,7 +52,7 @@ def _admissible(inst, cls, ext, bounds, anchors, eqs, lts):
         dict(zip(cls.diag_lt, lts)),
         dict(zip(cls.diag_lt, anchors)),
     )
-    return not cell_of(bounds, sel).is_empty
+    return not is_empty(cell_of(bounds, sel))
 
 
 def test_demo_masks(demo10):

@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 from maxminfre import (
     Instance,
     aggregate_bounds,
-    cell_of,
     check_membership,
     classify_rows,
     extremal_solutions,
@@ -19,7 +18,6 @@ from maxminfre import (
     load_instance,
     make_candidate,
     make_graph,
-    selector_bounds,
     solve,
     solve_cover,
     verify_structure,
@@ -27,7 +25,6 @@ from maxminfre import (
 from maxminfre.exact import ONE, ZERO, rank_table, ranked
 from maxminfre.extremals import BoundVectors, Cell, Lanes, vec_le, vec_max, vec_min
 from maxminfre.generate import random_fre_doc, random_graph_edges
-from maxminfre.oracle import specialized_cover
 from maxminfre.reduction import (
     CAUSE_BOUND_CROSSING,
     CAUSE_EMPTY_SUPPORT,
@@ -50,6 +47,7 @@ from .conftest import (
     graphs,
     instances,
 )
+from .reference import cell_of, dominates, is_empty, selector_bounds, specialized_cover
 
 
 def _prep(inst):
@@ -112,7 +110,10 @@ def test_enumeration_streams_in_lexicographic_order(demo10):
     from maxminfre.reduction import reduce_domains
 
     state = reduce_domains(demo10, cls, ext, bounds)
-    keys = [t.key() for t, _ in enumerate_admissible(state, bounds, ext)]
+    keys = [
+        (t.anchors, t.eq_choices, t.lt_choices)
+        for t, _ in enumerate_admissible(state, bounds, ext)
+    ]
     assert keys == sorted(keys)
     assert keys[0] == ((1, 1, 1), (1, 1, 1, 1), (1, 1, 1))
     assert ((1, 1, 1), (1, 1, 1, 2), (1, 1, 1)) in keys
@@ -132,7 +133,10 @@ def test_enumeration_matches_cross_product_filter(inst):
         total *= len(dom)
     assume(total <= 400)
 
-    streamed = [(t.key(), c) for t, c in enumerate_admissible(state, bounds, ext)]
+    streamed = [
+        ((t.anchors, t.eq_choices, t.lt_choices), c)
+        for t, c in enumerate_admissible(state, bounds, ext)
+    ]
 
     expected = []
     for anchors in itertools.product(*[cls.support[i] for i in cls.diag_lt]):
@@ -146,7 +150,7 @@ def test_enumeration_matches_cross_product_filter(inst):
                     dict(zip(cls.diag_lt, anchors)),
                 )
                 cell = cell_of(bounds, sel)
-                if not cell.is_empty:
+                if not is_empty(cell):
                     expected.append(((anchors, eqs, lts), cell))
     assert streamed == expected
 
@@ -175,7 +179,12 @@ def test_solve_demo_golden(demo10):
     assert sol.optimal
     assert sol.candidate.x == DEMO_OPTIMUM
     assert sol.candidate.objective == DEMO_OBJECTIVE
-    assert sol.candidate.triple.key() == ((1, 1, 1), (1, 1, 1, 2), (1, 1, 1))
+    triple = sol.candidate.triple
+    assert (triple.anchors, triple.eq_choices, triple.lt_choices) == (
+        (1, 1, 1),
+        (1, 1, 1, 2),
+        (1, 1, 1),
+    )
     assert check_membership(demo10, sol.candidate.x).feasible
 
 
@@ -227,7 +236,7 @@ def test_region_without_dedup_keeps_every_box(demo10):
     assert cells == distinct
     assert len(cells) == 2 and admissible == 8
     kept = feasible_region(demo10)
-    assert all(any(k.dominates(c) for k in kept) for c in cells)
+    assert all(any(dominates(k, c) for k in kept) for c in cells)
 
 
 def test_region_infeasible_is_empty():
@@ -287,8 +296,8 @@ def _stream_scan(inst):
     stream = _stream(inst)
     region: list[Cell] = []
     for _, cell in stream:
-        if not any(kept.dominates(cell) for kept in region):
-            region = [kept for kept in region if not cell.dominates(kept)] + [cell]
+        if not any(dominates(kept, cell) for kept in region):
+            region = [kept for kept in region if not dominates(cell, kept)] + [cell]
     distinct = list(dict.fromkeys(cell for _, cell in stream))
     return len(stream), _best(stream, inst.c, inst.sense), distinct, region
 
@@ -507,7 +516,8 @@ def test_anchor_heavy_instances_finish_fast(
         return
     anchors = tuple(map(int, anchors.split()))
     lts = tuple(2 if p in twos else 1 for p in range(1, len(anchors) + 1))
-    assert sol.candidate.triple.key() == (anchors, eqs, lts)
+    triple = sol.candidate.triple
+    assert (triple.anchors, triple.eq_choices, triple.lt_choices) == (anchors, eqs, lts)
     assert check_membership(inst, sol.candidate.x).feasible
     assert any(cell.contains(sol.candidate.x) for cell in region)
 

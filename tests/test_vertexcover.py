@@ -8,17 +8,17 @@ from maxminfre import (
     graph_to_instance,
     load_graph,
     make_graph,
-    selector_bounds,
     solve_cover,
     verify_structure,
 )
 from maxminfre.exact import ONE, ZERO
 from maxminfre.extremals import classify_rows, extremal_solutions
 from maxminfre.generate import random_graph_edges
-from maxminfre.oracle import brute_force_cover, specialized_cover
+from maxminfre.oracle import brute_force_cover
 from maxminfre.vertexcover import GraphError, graph_to_doc, parse_graph
 
 from .conftest import fracs, graphs, json_values
+from .reference import selector_bounds, specialized_cover
 
 TRIANGLE = make_graph(3, [(1, 2), (2, 3), (1, 3)])
 PATH3 = make_graph(3, [(1, 2), (2, 3)])
