@@ -20,6 +20,10 @@ GOLDENS = {
     "solve-region-trace": (0, ("solve", "data/demo10.json", "--region", "--trace")),
     "region": (0, ("region", "data/demo10.json")),
     "vc-brute": (0, ("vc", "data/triangle.col", "--brute")),
+    # 60 vertices with real neighbour sets for the masks check
+    "vc-grid10x6": (0, ("vc", "data/grid10x6.col")),
+    # every ExtremalSet family, which only this command prints
+    "extremals-demo10": (0, ("extremals", "data/demo10.json")),
     "oracle-graph": (0, ("oracle", "data/path3.col")),
     "check": (0, ("check", "data/demo10.json", "--x", DEMO_X)),
     # random_fre_doc(64, 0.3, 0, b_cap=0.5): every rule fires but rule 4, and

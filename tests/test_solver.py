@@ -409,7 +409,8 @@ def test_seed10_merges_every_triple_into_one_box():
 
 
 def test_solve_and_region_build_no_extremal_vector(demo10, monkeypatch):
-    """The solve path reads the row targets only, never a vector family."""
+    """The solve path and the cover audit read the row targets only, never a
+    vector family."""
     import maxminfre.extremals as extremals
 
     cases = [
@@ -420,7 +421,9 @@ def test_solve_and_region_build_no_extremal_vector(demo10, monkeypatch):
     graph = make_graph(12, random_graph_edges(12, 0.3, seed=1))
 
     def run():
-        return [(solve(inst), feasible_region(inst)) for inst in cases], solve_cover(graph)
+        cover = solve_cover(graph)
+        solved = [(solve(inst), feasible_region(inst)) for inst in cases]
+        return solved, cover, verify_structure(cover, graph)
 
     expected = run()
 

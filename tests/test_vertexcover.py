@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -134,6 +135,63 @@ def test_structure_report_passes_on_examples():
     for g in (TRIANGLE, PATH3, EDGE, make_graph(4, [])):
         report = verify_structure(solve_cover(g), g)
         assert report.ok, [c for c in report.checks if not c.ok]
+
+
+def _only_failure(report):
+    """The one failing check's (name, detail); the other four must pass."""
+    failed = [(c.name, c.detail) for c in report.checks if not c.ok]
+    assert len(report.checks) == 5 and len(failed) == 1 and not report.ok
+    return failed[0]
+
+
+def test_audit_flags_a_missing_admissible_triple():
+    result = solve_cover(PATH3)
+    stats = replace(result.solution.statistics, admissible=2**3 - 1)
+    forged = replace(result, solution=replace(result.solution, statistics=stats))
+    assert _only_failure(verify_structure(forged, PATH3)) == (
+        "every-assignment-admissible",
+        "enumerated=8 admissible=7",
+    )
+
+
+def test_audit_flags_a_selector_without_variant_2():
+    forged = replace(solve_cover(EDGE), selector={1: 1, 2: 1})
+    assert _only_failure(verify_structure(forged, EDGE)) == (
+        "some-variant-2",
+        "no row chose variant 2 despite edges",
+    )
+
+
+def test_audit_flags_adjacent_variant_2_rows():
+    forged = replace(solve_cover(EDGE), selector={1: 2, 2: 2})
+    assert _only_failure(verify_structure(forged, EDGE)) == (
+        "variant-2-rows-independent",
+        "adjacent rows (1, 2) both chose variant 2",
+    )
+
+
+def test_audit_flags_a_row_off_diag_eq(monkeypatch):
+    result = solve_cover(PATH3)
+    monkeypatch.setattr(
+        "maxminfre.vertexcover.classify_rows",
+        lambda inst: replace(classify_rows(inst), diag_eq=(2, 3), diag_lt=(1,)),
+    )
+    assert _only_failure(verify_structure(result, PATH3)) == ("all-rows-diag-eq", "gt=() lt=(1,)")
+
+
+def test_audit_flags_caps_that_miss_a_neighbour(monkeypatch):
+    """Row 2 of the path 1-2-3 loses neighbour 1 from its variant-2 caps."""
+    result = solve_cover(PATH3)
+
+    def drop_neighbour(inst):
+        cls = classify_rows(inst)
+        return replace(cls, support_strict={**cls.support_strict, 2: (3,)})
+
+    monkeypatch.setattr("maxminfre.vertexcover.classify_rows", drop_neighbour)
+    assert _only_failure(verify_structure(result, PATH3)) == (
+        "masks-complement-adjacency",
+        "pin_ok=True cap_ok=False",
+    )
 
 
 def test_optimum_equals_chosen_maximal_bound():
