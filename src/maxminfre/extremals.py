@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .exact import ONE, ZERO, Vec
 from .model import Instance
@@ -40,8 +41,7 @@ def vec_le(a: Vec, b: Vec) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class RowClassification:
+class RowClassification(NamedTuple):
     n: int
     support: dict[int, tuple[int, ...]]  # columns with a_ij >= b_i
     support_strict: dict[int, tuple[int, ...]]  # a_ij > b_i
@@ -89,6 +89,7 @@ def classify_rows(inst: Instance) -> RowClassification:
     )
 
 
+# a dataclass, not a NamedTuple: cached_property needs an instance __dict__
 @dataclass(frozen=True)
 class ExtremalSet:
     """Every single-row extremal vector, built family by family on first read."""
@@ -134,6 +135,7 @@ def extremal_solutions(inst: Instance, cls: RowClassification) -> ExtremalSet:
     return ExtremalSet(cls, inst.b)
 
 
+# a dataclass, not a NamedTuple: cached_property needs an instance __dict__
 @dataclass(frozen=True)
 class BoundVectors:
     """Componentwise aggregates over the selector-free extremal families.
@@ -165,8 +167,7 @@ def aggregate_bounds(ext: ExtremalSet, cls: RowClassification) -> BoundVectors:
     )
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """Axis-aligned box {x : lower <= x <= upper componentwise}."""
 
     lower: Vec

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .exact import ZERO, Vec, parse_scalar, quoted
 
@@ -24,8 +24,7 @@ class InstanceError(ValueError):
     """Malformed instance document: parse, dimension or range failure."""
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     n: int
     A: tuple[Vec, ...]
     b: Vec
@@ -38,8 +37,7 @@ class Instance:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class RowStatus:
+class RowStatus(NamedTuple):
     row: int
     achieved: Fraction
     required: Fraction
@@ -47,8 +45,7 @@ class RowStatus:
     violation: int | None  # first column whose term exceeds the target
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     feasible: bool
     rows: tuple[RowStatus, ...]
 

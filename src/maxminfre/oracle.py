@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import ONE, ZERO, Vec, decimal_places
 from .extremals import Cell
@@ -32,8 +32,7 @@ class BudgetExceeded(RuntimeError):
     """The exhaustive search space is larger than the configured budget."""
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     feasible: bool
     objective: Fraction | None
     x: Vec | None
@@ -63,15 +62,13 @@ def grid_optimum(inst: Instance, budget: int = GRID_BUDGET) -> GridResult:
     return GridResult(True, best_obj, best_x, total)
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
     x: Vec
     member: bool  # row-wise membership verdict
     in_cells: bool  # box-union verdict
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     samples: int
     disagreements: tuple[Disagreement, ...]
 
@@ -104,8 +101,7 @@ def sample_feasibility(
     return AgreementReport(samples=k, disagreements=tuple(disagreements))
 
 
-@dataclass(frozen=True)
-class CoverOracleResult:
+class CoverOracleResult(NamedTuple):
     size: int
     cover: tuple[int, ...]
 

@@ -50,8 +50,7 @@ CAUSE_ANCHORS = "anchors-exhausted"
 CAUSE_NO_TRIPLE = "no-admissible-triple"
 
 
-@dataclass(frozen=True)
-class Infeasibility:
+class Infeasibility(NamedTuple):
     cause: str
     rows: tuple[int, ...] = ()
 
@@ -62,8 +61,7 @@ class Infeasibility:
 
 
 class TraceEvent(NamedTuple):
-    """One removal.  A NamedTuple builds in about half the time of a frozen
-    dataclass, and the rules of a 64-row instance make hundreds."""
+    """One removal."""
 
     rule: int
     target: int  # row whose selector domain shrank
@@ -75,6 +73,7 @@ class TraceEvent(NamedTuple):
         return f"RULE{self.rule} target={self.target} removed={self.removed} witness={w}"
 
 
+# a dataclass, not a NamedTuple: the rules update it in place
 @dataclass
 class ReductionState:
     cls: RowClassification  # the row classes and supports the rules read

@@ -83,7 +83,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact import ZERO, Vec
 from .extremals import (
@@ -112,8 +112,7 @@ from .reduction import (
 )
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """One selector choice; value tuples follow ascending row order."""
 
     anchor_rows: tuple[int, ...]
@@ -128,14 +127,15 @@ class Triple:
         return dict(zip(self.eq_rows, self.eq_choices))
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     triple: Triple
     cell: Cell
     x: Vec
     objective: Fraction
 
 
+# a dataclass, not a NamedTuple: per-stage timings are to join as a
+# compare=False field, so that equal solves stay equal
 @dataclass(frozen=True)
 class Statistics:
     enumerated: int  # size of the reduced selector product
@@ -146,8 +146,7 @@ class Statistics:
     trace: tuple[TraceEvent, ...]
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     status: str  # "optimal" | "infeasible"
     candidate: Candidate | None
     cause: Infeasibility | None

@@ -15,6 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .exact import ONE, ZERO, Vec
 from .extremals import classify_rows
@@ -26,6 +27,7 @@ class GraphError(ValueError):
     """Malformed graph input (bad header, self-loop, asymmetry, range)."""
 
 
+# a dataclass, not a NamedTuple: cached_property needs an instance __dict__
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -159,8 +161,7 @@ def graph_to_instance(g: Graph) -> Instance:
     )
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     cover: tuple[int, ...]
     size: int
     x_star: Vec
@@ -186,15 +187,13 @@ def solve_cover(g: Graph) -> CoverResult:
     )
 
 
-@dataclass(frozen=True)
-class StructureCheck:
+class StructureCheck(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     checks: tuple[StructureCheck, ...]
 
     @property

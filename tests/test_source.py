@@ -23,3 +23,29 @@ def test_no_assert_and_no_import_from_tests(path):
             imported.append(node.module)
     from_tests = [name for name in imported if name.split(".")[0] == "tests"]
     assert from_tests == [], f"imports from tests: {from_tests}"
+
+
+# Creating a dataclass costs about 1 ms at import, so a plain-data record is a
+# NamedTuple; each of these five says at its definition why it cannot be one.
+DATACLASSES = {"ExtremalSet", "BoundVectors", "Graph", "ReductionState", "Statistics"}
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name == "dataclass"
+
+
+def test_dataclasses_only_where_a_namedtuple_cannot_serve():
+    assert SOURCES, "no package sources found"
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            (path.name, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(map(_is_dataclass_decorator, node.decorator_list))
+        ]
+    extra = [f"{file}:{name}" for file, name in found if name not in DATACLASSES]
+    assert extra == [], f"@dataclass outside the five allowed classes: {extra}"

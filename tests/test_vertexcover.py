@@ -147,7 +147,7 @@ def _only_failure(report):
 def test_audit_flags_a_missing_admissible_triple():
     result = solve_cover(PATH3)
     stats = replace(result.solution.statistics, admissible=2**3 - 1)
-    forged = replace(result, solution=replace(result.solution, statistics=stats))
+    forged = result._replace(solution=result.solution._replace(statistics=stats))
     assert _only_failure(verify_structure(forged, PATH3)) == (
         "every-assignment-admissible",
         "enumerated=8 admissible=7",
@@ -155,7 +155,7 @@ def test_audit_flags_a_missing_admissible_triple():
 
 
 def test_audit_flags_a_selector_without_variant_2():
-    forged = replace(solve_cover(EDGE), selector={1: 1, 2: 1})
+    forged = solve_cover(EDGE)._replace(selector={1: 1, 2: 1})
     assert _only_failure(verify_structure(forged, EDGE)) == (
         "some-variant-2",
         "no row chose variant 2 despite edges",
@@ -163,7 +163,7 @@ def test_audit_flags_a_selector_without_variant_2():
 
 
 def test_audit_flags_adjacent_variant_2_rows():
-    forged = replace(solve_cover(EDGE), selector={1: 2, 2: 2})
+    forged = solve_cover(EDGE)._replace(selector={1: 2, 2: 2})
     assert _only_failure(verify_structure(forged, EDGE)) == (
         "variant-2-rows-independent",
         "adjacent rows (1, 2) both chose variant 2",
@@ -174,7 +174,7 @@ def test_audit_flags_a_row_off_diag_eq(monkeypatch):
     result = solve_cover(PATH3)
     monkeypatch.setattr(
         "maxminfre.vertexcover.classify_rows",
-        lambda inst: replace(classify_rows(inst), diag_eq=(2, 3), diag_lt=(1,)),
+        lambda inst: classify_rows(inst)._replace(diag_eq=(2, 3), diag_lt=(1,)),
     )
     assert _only_failure(verify_structure(result, PATH3)) == ("all-rows-diag-eq", "gt=() lt=(1,)")
 
@@ -185,7 +185,7 @@ def test_audit_flags_caps_that_miss_a_neighbour(monkeypatch):
 
     def drop_neighbour(inst):
         cls = classify_rows(inst)
-        return replace(cls, support_strict={**cls.support_strict, 2: (3,)})
+        return cls._replace(support_strict={**cls.support_strict, 2: (3,)})
 
     monkeypatch.setattr("maxminfre.vertexcover.classify_rows", drop_neighbour)
     assert _only_failure(verify_structure(result, PATH3)) == (
