@@ -4,30 +4,33 @@ All coefficients, bounds and costs are finite decimals.  They are stored as
 ``fractions.Fraction`` so that every comparison is exact; min/max, sums and
 products of finite decimals are again finite decimals (denominators stay of
 the form 2^a * 5^b), so results can always be rendered back as decimal
-strings without loss.
+strings without loss.  An input scalar has at most ``MAX_EXPONENT`` decimal
+places and a magnitude below 10**(MAX_EXPONENT + 1), which keeps every such
+rendering within the digits Python turns into text.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from typing import Iterable
 
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Largest |exponent| a decimal string may write.  Parsing builds 10**exponent,
-# so the written exponent is checked first.  The limit is far beyond any float
-# (1e308, 5e-324) and well below the 4300 digits past which Python refuses to
-# turn an int into text, which rendering a result needs.
+# The size rule for every input scalar: at most MAX_EXPONENT decimal places and
+# at most MAX_EXPONENT + 1 integer digits.  A product of two such scalars then
+# has at most 4002 digits, and a sum of such products a few more, below the
+# 4300 digits past which Python refuses to turn an int into text, which
+# rendering a result needs.  Parsing builds 10**exponent, so a written
+# exponent beyond MAX_EXPONENT is rejected before that.
 MAX_EXPONENT = 1000
+_PLACES = 10**MAX_EXPONENT  # d | _PLACES iff p/d has at most MAX_EXPONENT places
+_MAGNITUDE = 10 * _PLACES
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-_INT_LIMIT = 10 ** (MAX_EXPONENT + 1)  # int and Fraction parts: as many digits as 1e1000
 # "0.66", "-13", "007.50": ASCII digits, an optional minus and point, nothing else
-_PLAIN_DECIMAL = re.compile(r"-?[0-9]+(?:\.([0-9]+))?")
+_PLAIN_DECIMAL = re.compile(r"-?([0-9]+)(?:\.([0-9]+))?")
 
 
 def parse_scalar(value) -> Fraction:
@@ -36,20 +39,19 @@ def parse_scalar(value) -> Fraction:
     Strings and ints are exact.  Floats are read through their shortest
     decimal repr, which recovers the decimal literal they were written as.
     Values without a finite decimal form, such as "1/3", are rejected, and so
-    is an int or Fraction with more digits than 10**MAX_EXPONENT has.
+    is a value of any kind beyond the size rule above.
 
-    A plain decimal string is read as its digits over a power of ten, which
-    is what ``Fraction(text)`` computes, without its general pattern.  When
-    int() refuses that many digits, the general path words the rejection.
+    A plain decimal string whose digit groups are within the size rule is
+    read as its digits over a power of ten, which is what ``Fraction(text)``
+    computes, without its general pattern.  Any other string takes the
+    general path, which words the rejection.
     """
     if type(value) is str:
         match = _PLAIN_DECIMAL.fullmatch(value)
         if match is not None:
-            places = match.group(1) or ""
-            try:
+            whole, places = match.groups("")
+            if len(whole) <= MAX_EXPONENT + 1 and len(places) <= MAX_EXPONENT:
                 return Fraction(int(value.replace(".", "")), 10 ** len(places))
-            except ValueError:
-                pass
     if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
         raise ValueError(f"not a numeric scalar: {value!r}")
     text = repr(value) if isinstance(value, float) else value
@@ -60,10 +62,16 @@ def parse_scalar(value) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a decimal scalar: {quoted(text)}") from exc
     d = parsed.denominator
-    if not isinstance(text, str) and max(abs(parsed.numerator), d) >= _INT_LIMIT:
-        raise ValueError(f"{type(value).__name__} with more than {MAX_EXPONENT + 1} digits")
-    if pow(10, d.bit_length(), d):  # d | 10^bit_length(d) iff d = 2^a * 5^b
+    # over the size rule whatever d's factors, and then too long to show in a message
+    oversized = d > _PLACES or abs(parsed.numerator) >= _MAGNITUDE * d
+    if not oversized and pow(10, d.bit_length(), d):  # d | 10^bit_length(d) iff d = 2^a * 5^b
         raise ValueError(f"{value!r} has no finite decimal form")
+    if oversized or _PLACES % d:
+        shown = quoted(text) if isinstance(text, str) else type(value).__name__
+        raise ValueError(
+            f"{shown} has more than {MAX_EXPONENT} decimal places"
+            f" or more than {MAX_EXPONENT + 1} integer digits"
+        )
     return parsed
 
 
@@ -81,27 +89,6 @@ def _check_exponent(text: str) -> None:
 def quoted(text) -> str:
     """repr of an input value, cut short when it is a long string."""
     return repr(text if not isinstance(text, str) or len(text) <= 40 else text[:37] + "...")
-
-
-def rank_table(values: Iterable[Fraction]) -> dict[tuple[int, int], int]:
-    """Rank of every distinct value in ascending order, keyed on
-    ``value.as_integer_ratio()``.
-
-    The key identifies a Fraction exactly and hashes without
-    Fraction.__hash__'s modular inverse.  The values are ordered on the
-    integers p * (L // q), L the lcm of the denominators, which is the same
-    order as p / q without a single Fraction compare.  Comparing ranks is
-    therefore comparing the values exactly.
-    """
-    ratios = set([value.as_integer_ratio() for value in values])
-    scale = math.lcm(*(q for _, q in ratios))
-    ordered = sorted(ratios, key=lambda pq: pq[0] * (scale // pq[1]))
-    return {pq: r for r, pq in enumerate(ordered)}
-
-
-def ranked(table: dict[tuple[int, int], int], vec: Vec) -> tuple[int, ...]:
-    """The ranks of a vector's values; KeyError for a value off the table."""
-    return tuple([table[v.as_integer_ratio()] for v in vec])
 
 
 def _pow10_exponent(denominator: int) -> int:

@@ -20,10 +20,11 @@ which reads the targets alone, builds none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .exact import ONE, ZERO, Vec
 from .model import Instance
@@ -178,18 +179,33 @@ class Cell(NamedTuple):
 
 
 class Lanes:
-    """Rank vectors over one rank table, each packed into one int: coordinate
-    j holds its rank in bits [j(w+1), j(w+1) + w) under a zero guard bit."""
+    """Rank vectors over the ascending grid of some values, each packed into
+    one int: coordinate j holds its rank in bits [j(w+1), j(w+1) + w) under a
+    zero guard bit.
 
-    def __init__(self, table: dict[tuple[int, int], int], n: int):
-        self.table = table
-        self.grid = tuple([Fraction(p, q) for p, q in table])  # ascending: grid[r] has rank r
-        self.top = len(table) - 1  # the rank of 1, the largest value
+    A rank is looked up on ``value.as_integer_ratio()``, which identifies a
+    Fraction exactly and hashes without Fraction.__hash__'s modular inverse.
+    The grid is sorted on the integers p * (L // q), L the lcm of the
+    denominators, which is the same order as p / q without a single Fraction
+    compare.  Comparing ranks is therefore comparing the values exactly.
+    """
+
+    def __init__(self, values: Iterable[Fraction], n: int):
+        ratios = set([value.as_integer_ratio() for value in values])
+        scale = math.lcm(*(q for _, q in ratios))
+        ordered = sorted(ratios, key=lambda pq: pq[0] * (scale // pq[1]))
+        self._ranks = {pq: r for r, pq in enumerate(ordered)}
+        self.grid = tuple([Fraction(p, q) for p, q in ordered])  # grid[r] has rank r
+        self.top = len(ordered) - 1  # the rank of the largest value, 1 on a solve's grid
         self.w = w = self.top.bit_length()
         self.lane = (1 << w) - 1
         self.shifts = range(0, n * (w + 1), w + 1)
         self.unit = sum(1 << shift for shift in self.shifts)  # rank 1 on every lane
         self.guards = self.unit << w
+
+    def rank(self, vec: Vec) -> tuple[int, ...]:
+        """The ranks of a vector's values; KeyError for a value off the grid."""
+        return tuple([self._ranks[v.as_integer_ratio()] for v in vec])
 
     def pack(self, ranks: tuple[int, ...]) -> int:
         return sum(r << shift for r, shift in zip(ranks, self.shifts))

@@ -24,7 +24,7 @@ Rule summary (targets in parentheses):
 Rules fire in a single pass each, in ascending index order, following the
 solve pipeline: 1, 2, 3, then 4+5, then 6+7.  Emptied domains are recorded
 as infeasibility verdicts, never raised.  Every rule compares integer ranks
-from the solve's one rank table (``initial_state``), never ``Fraction``s.
+on the solve's one grid (``initial_state``), never ``Fraction``s.
 
 Rules 6 and 7 ask, for each pinned row r, which diag_lt rows s hold r in
 their anchor domain.  Rather than test r against every anchor domain, they
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .exact import ONE, ZERO, rank_table, ranked
+from .exact import ONE, ZERO
 from .extremals import BoundVectors, ExtremalSet, Lanes, RowClassification
 from .model import Instance
 
@@ -77,7 +77,7 @@ class TraceEvent(NamedTuple):
 @dataclass
 class ReductionState:
     cls: RowClassification  # the row classes and supports the rules read
-    lanes: Lanes  # the solve's one rank table, packed for the frontier
+    lanes: Lanes  # the solve's one grid, packed for the frontier
     lower: tuple[int, ...]  # ranks of the combined lower bound
     upper: tuple[int, ...]  # ranks of the diag_gt upper bound
     target: dict[int, int]  # diag_eq/diag_lt row -> rank of its target b_i
@@ -126,18 +126,18 @@ class ReductionState:
 def initial_state(
     ext: ExtremalSet, cls: RowClassification, bounds: BoundVectors
 ) -> ReductionState:
-    """Full domains, and one rank table of every value the rules and the
+    """Full domains, and one grid of every value the rules and the
     frontier compare: 0, 1, the bound components and the diag_eq/diag_lt
     targets, read from ``ext.b``, so no extremal vector is built."""
     rows = cls.diag_eq + cls.diag_lt
     targets = tuple([ext.b[i - 1] for i in rows])
-    lanes = Lanes(rank_table((ZERO, ONE, *bounds.lower, *bounds.upper_gt, *targets)), cls.n)
+    lanes = Lanes((ZERO, ONE, *bounds.lower, *bounds.upper_gt, *targets), cls.n)
     state = ReductionState(
         cls=cls,
         lanes=lanes,
-        lower=ranked(lanes.table, bounds.lower),
-        upper=ranked(lanes.table, bounds.upper_gt),
-        target=dict(zip(rows, ranked(lanes.table, targets))),
+        lower=lanes.rank(bounds.lower),
+        upper=lanes.rank(bounds.upper_gt),
+        target=dict(zip(rows, lanes.rank(targets))),
         eq_dom={i: (1, 2) for i in cls.diag_eq},
         lt_dom={i: (1, 2) for i in cls.diag_lt},
         anchor_dom={i: tuple(cls.support[i]) for i in cls.diag_lt},

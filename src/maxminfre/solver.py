@@ -49,19 +49,20 @@ early.  After the last level every coordinate is masked and at most one
 state is left: its count is the admissible count, and its key divmod R gives
 the optimum and the code of the lex-smallest optimal triple.
 
-The merged walk runs on the ranks of the solve's one table (built by
-``reduction.initial_state``), not on ``Fraction``s.  For ``aggregate_bounds``
-output the table is the grid {0, 1} union {b_i}, which holds every component
-of every extremal vector and of the root box, and the min and max of grid
-values are again grid values, so ranking is an order isomorphism: every cut,
-every merge and the frontier keys are the same on ranks as on values.  The
-levels are built from the row targets' ranks and the supports: an anchored
-minimal is rank 0 except the target at its row and anchor, a maximal is the
-top rank except the target at its row (variant 1) or on the row's strict
-support (variant 2).  A value off the table would break the argument, so it
-raises ``KeyError``.
+The merged walk runs on the ranks of the solve's one grid, not on
+``Fraction``s: ``reduction.initial_state`` builds one ``extremals.Lanes`` from
+the values the walk compares.  For ``aggregate_bounds`` output that grid is
+{0, 1} union {b_i}, which holds every component of every extremal vector and
+of the root box, and the min and max of grid values are again grid values,
+so ranking is an order isomorphism: every cut, every merge and the frontier
+keys are the same on ranks as on values.  The levels are built from the row
+targets' ranks and the supports: an anchored minimal is rank 0 except the
+target at its row and anchor, a maximal is the top rank except the target at
+its row (variant 1) or on the row's strict support (variant 2).  A value off
+the grid would break the argument, so ``Lanes.rank`` raises ``KeyError`` for
+it.
 
-Each rank vector is packed into one int (``extremals.Lanes``).  With w the
+Each rank vector is packed into one int by the same ``Lanes``.  With w the
 bit length of (grid size - 1), coordinate j owns the w + 1 bits from
 j(w + 1) up: its rank in the low w bits and a zero guard bit on top.
 Setting every guard bit of a and subtracting b leaves 2^w + a_j - b_j in

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .exact import ONE, ZERO, Vec
@@ -27,19 +25,9 @@ class GraphError(ValueError):
     """Malformed graph input (bad header, self-loop, asymmetry, range)."""
 
 
-# a dataclass, not a NamedTuple: cached_property needs an instance __dict__
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]  # normalized u < v, vertices 1..n
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The 0/1 matrix, built on first read and kept with the graph."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            rows[u - 1][v - 1] = rows[v - 1][u - 1] = 1
-        return tuple(tuple(r) for r in rows)
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -100,6 +88,8 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphError(f"repeated problem line {lineno}: {raw!r}")
             try:
                 if len(parts) not in (3, 4):
                     raise ValueError("expected 'p [<format>] <n> <m>'")
@@ -151,10 +141,12 @@ def graph_to_doc(g: Graph) -> str:
 
 
 def graph_to_instance(g: Graph) -> Instance:
-    adjacency = g.adjacency
+    A = [[ZERO] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        A[u - 1][v - 1] = A[v - 1][u - 1] = ONE
     return Instance(
         n=g.n,
-        A=tuple(tuple(ONE if v else ZERO for v in row) for row in adjacency),
+        A=tuple(map(tuple, A)),
         b=(ZERO,) * g.n,
         c=(ONE,) * g.n,
         sense="max",
@@ -221,14 +213,8 @@ def verify_structure(result: CoverResult, g: Graph) -> StructureReport:
     twos = tuple(i for i, v in sorted(result.selector.items()) if v == 2)
     check("some-variant-2", not g.edges or bool(twos), "no row chose variant 2 despite edges")
 
-    adjacency = g.adjacency
     clash = next(
-        (
-            (i1, i2)
-            for a, i1 in enumerate(twos)
-            for i2 in twos[a + 1 :]
-            if adjacency[i1 - 1][i2 - 1]
-        ),
+        ((i1, i2) for a, i1 in enumerate(twos) for i2 in twos[a + 1 :] if (i1, i2) in g.edges),
         None,
     )
     detail = f"adjacent rows {clash} both chose variant 2"
@@ -237,7 +223,7 @@ def verify_structure(result: CoverResult, g: Graph) -> StructureReport:
     # what the solve reads: variant 1 caps x_i at b_i = 0, variant 2 caps the neighbours
     pin_ok = all(inst.b[i - 1] == ZERO for i in cls.diag_eq)
     cap_ok = all(
-        cls.caps(i, 2) == tuple(j for j, a in enumerate(adjacency[i - 1], start=1) if a)
+        cls.caps(i, 2) == tuple(j for j, a in enumerate(inst.A[i - 1], start=1) if a)
         for i in cls.diag_eq
     )
     check("masks-complement-adjacency", pin_ok and cap_ok, f"pin_ok={pin_ok} cap_ok={cap_ok}")

@@ -10,8 +10,10 @@ scanned in full, and every removal rebuilds its domain.  The differential
 tests compare the library against them.
 
 ``parse_scalar`` reads every string through ``Fraction(text)``, which the
-library skips for plain decimals, and ``unit_scalar`` checks one A or b
-entry and words its errors as the loader's entry-by-entry path does.
+library skips for plain decimals, and checks the size rule on the value's
+decimal places and magnitude, which the library reads off the digit groups
+or the denominator; ``unit_scalar`` checks one A or b entry and words its
+errors as the loader's entry-by-entry path does.
 
 The rest are references that the library does not need:
 
@@ -33,12 +35,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from maxminfre.exact import (
-    _INT_LIMIT,
     MAX_EXPONENT,
     ONE,
     ZERO,
     Vec,
     _check_exponent,
+    decimal_places,
     decimal_str,
     quoted,
 )
@@ -61,6 +63,7 @@ from maxminfre.reduction import (
     Infeasibility,
     TraceEvent,
 )
+from maxminfre.vertexcover import graph_to_instance
 
 
 def parse_scalar(value) -> Fraction:
@@ -74,10 +77,15 @@ def parse_scalar(value) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a decimal scalar: {quoted(text)}") from exc
     d = parsed.denominator
-    if not isinstance(text, str) and max(abs(parsed.numerator), d) >= _INT_LIMIT:
-        raise ValueError(f"{type(value).__name__} with more than {MAX_EXPONENT + 1} digits")
-    if pow(10, d.bit_length(), d):
+    oversized = d > 10**MAX_EXPONENT or abs(parsed) >= 10 ** (MAX_EXPONENT + 1)
+    if not oversized and pow(10, d.bit_length(), d):
         raise ValueError(f"{value!r} has no finite decimal form")
+    if oversized or decimal_places(parsed) > MAX_EXPONENT:
+        shown = quoted(text) if isinstance(text, str) else type(value).__name__
+        raise ValueError(
+            f"{shown} has more than {MAX_EXPONENT} decimal places"
+            f" or more than {MAX_EXPONENT + 1} integer digits"
+        )
     return parsed
 
 
@@ -350,7 +358,7 @@ def specialized_cover(g) -> tuple[Vec, tuple[int, ...]]:
     lexicographically smallest assignment.
     """
     n = g.n
-    adjacency = g.adjacency
+    adjacency = graph_to_instance(g).A
     ones: Vec = (ONE,) * n
     best_vec: Vec | None = None
     best_sum: Fraction | None = None

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from maxminfre import cli
 from maxminfre.cli import main
+from maxminfre.exact import decimal_str
 
 from .conftest import DATA_DIR, RULES_BLIND_INFEASIBLE
 
@@ -210,10 +212,15 @@ def test_vc_subcommand(capsys, triangle_file, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["size"] == 2 and doc["brute_agrees"] and doc["checks_ok"]
-    looped = tmp_path / "loop.col"
-    looped.write_text("p 2 1\ne 1 1\n")
-    code, _, err = run_cli(capsys, "vc", str(looped))
-    assert code == 2 and "self-loop" in err
+    bad = tmp_path / "bad.col"
+    for text, message in (
+        ("p 2 1\ne 1 1\n", "self-loop"),
+        ("p 2 1\ne 1 2\np 3 1\n", "repeated problem line 3: 'p 3 1'"),
+        ("p 3 2\ne 1 2\np 3 1\n", "repeated problem line 3: 'p 3 1'"),
+    ):
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "vc", str(bad))
+        assert code == 2 and out == "" and message in err
 
 
 def test_oracle_subcommand(capsys, tmp_path, triangle_file, infeasible_file):
@@ -328,6 +335,11 @@ def test_input_contract_enforced_at_load(capsys, tmp_path):
         ("b[1]", '{"A": [["0.5"]], "b": ["1e5000"], "c": ["1"]}'),
         ("c[1]", '{"A": [["0.5"]], "b": ["0.5"], "c": ["1e5000"]}'),
         ("A[1][1]", '{"A": [[1e-1000000]], "b": ["0.5"], "c": ["1"]}'),
+        # results are sums of products of the scalars: one too long to render is rejected
+        *(
+            ("b[1]", json.dumps({"A": [["1"]], "b": [s], "c": [s], "sense": "max"}))
+            for s in ("0." + "9" * 3000, decimal_str(Fraction(1, 2**3300)))
+        ),
     ):
         third.write_text(doc)
         code, out, err = run_cli(capsys, "solve", str(third), "--json")

@@ -35,6 +35,69 @@ def test_parse_rejects_non_scalars(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize(
+    "value, accepted",
+    [
+        ("9" * 1001 + "." + "9" * 1000, True),
+        ("-" + "0" * 1002 + "1", True),
+        (10**1001 - 1, True),
+        (Fraction(1, 2**1000), True),
+        ("0.5e-1000", False),
+        ("0." + "9" * 1001, False),
+        ("1" + "0" * 1001, False),
+        (10**1001, False),
+        (Fraction(1, 2**1001), False),
+        (Fraction(1, 2**3300), False),
+        (Fraction(1, 3**3000), False),
+    ],
+    ids=[
+        "1001-integer-digits-1000-places",
+        "1002-digits-with-leading-zeros",
+        "int-1001-digits",
+        "2^-1000",
+        "exponent-makes-1001-places",
+        "1001-places",
+        "1002-integer-digits",
+        "int-10^1001",
+        "2^-1001",
+        "2^-3300",
+        "3^-3000",
+    ],
+)
+def test_size_rule_holds_for_every_input_kind(value, accepted):
+    """At most 1000 decimal places and a magnitude below 10**1001, whether
+    the value is written out, an int or a Fraction."""
+    if accepted:
+        assert parse_scalar(value) == Fraction(value)
+    else:
+        with pytest.raises(ValueError, match="more than 1000 decimal places or more than 1001"):
+            parse_scalar(value)
+
+
+def _at_the_limits(denominator: int):
+    """Values p / denominator of magnitude below 10**1001, the largest included."""
+    bound = 10**1001 * denominator - 1
+    return st.one_of(st.integers(-bound, bound), st.sampled_from([bound, -bound])).map(
+        lambda p: Fraction(p, denominator)
+    )
+
+
+# 1000 decimal places with up to 1001 integer digits, or a power-of-two
+# denominator up to 2**1000; each given as a Fraction or as its decimal string
+_limit_scalars = st.one_of(
+    _at_the_limits(10**1000),
+    st.integers(0, 1000).flatmap(lambda a: _at_the_limits(2**a)),
+).flatmap(lambda v: st.sampled_from([v, decimal_str(v)]))
+
+
+@given(st.lists(st.tuples(_limit_scalars, _limit_scalars), min_size=1, max_size=64))
+def test_sums_of_products_of_accepted_scalars_render(pairs):
+    """Whatever the size rule accepts, an objective's sum of products of such
+    scalars can be written out as a decimal."""
+    total = sum((parse_scalar(a) * parse_scalar(b) for a, b in pairs), Fraction(0))
+    assert Fraction(decimal_str(total)) == total
+
+
 def test_decimal_str_round_trips():
     for text in ("0.66", "-13.0727", "0", "1", "0.04", "-0.5"):
         assert decimal_str(Fraction(text)) == text
@@ -86,7 +149,9 @@ _general_forms = st.one_of(
             "1e5", "5e-1", "1E+1_001", "1e5000", "+1", "+0.5", " 1", "1 ", "1\n", "1_0",
             ".5", "1.", "-.5", "1/3", "2/4", "1/0", "\u0661", "\u0660.\u0665", "nan",
             "inf", "", "-", "0x10", "0." + "1" * 5000, "1" * 5000, "-" + "9" * 4301,
-            "9" * 3000 + "." + "9" * 3000,
+            "9" * 3000 + "." + "9" * 3000, "9" * 1001, "9" * 1002, "0." + "1" * 1000,
+            "0." + "1" * 1001, "0" * 1002 + "1", "-" + "9" * 1001 + "." + "9" * 1000,
+            "1/" + "3" * 1100, "1/" + "2" * 900,
         ]
     ),
     st.from_regex(r"[-+]?[0-9]*\.?[0-9]*([eE][-+]?[0-9]{1,4})?", fullmatch=True),

@@ -62,6 +62,8 @@ def test_load_rejects_out_of_range():
         ({"A": [["1e-1000000"]], "b": ["0.5"], "c": ["1"]}, "A[1][1]"),
         ('{"A": [[0.5]], "b": [0.5], "c": [1e-1000000]}', "c[1]"),
         ({"A": [["0.5"]], "b": ["0.5"], "c": [10**5000]}, "c[1]"),
+        ({"A": [["1"]], "b": [Fraction(1, 2**3300)], "c": ["1"]}, "b[1]"),
+        ({"A": [["1"]], "b": ["0.5"], "c": ["1" + "0" * 1001]}, "c[1]"),
     ],
 )
 def test_load_rejects_non_decimal_scalars(doc, field):

@@ -40,6 +40,7 @@ FIELDS = {
         "empty_support",
     ),
     "Cell": ("lower", "upper"),
+    "Graph": ("n", "edges"),
     "GridResult": ("feasible", "objective", "x", "points"),
     "Disagreement": ("x", "member", "in_cells"),
     "AgreementReport": ("samples", "disagreements"),
@@ -76,6 +77,7 @@ def _records() -> dict:
         grid_optimum(inst),
         agreement.disagreements[0],
         agreement,
+        path,
         brute_force_cover(path),
         solve(load_instance(RULES_BLIND_INFEASIBLE)).cause,
         sol.candidate.triple,

@@ -15,6 +15,7 @@ from maxminfre import (
     extremal_solutions,
     feasible_region,
     gate_feasibility,
+    graph_to_instance,
     load_instance,
     make_candidate,
     make_graph,
@@ -22,7 +23,7 @@ from maxminfre import (
     solve_cover,
     verify_structure,
 )
-from maxminfre.exact import ONE, ZERO, rank_table, ranked
+from maxminfre.exact import ONE, ZERO
 from maxminfre.extremals import BoundVectors, Cell, Lanes, vec_le, vec_max, vec_min
 from maxminfre.generate import random_fre_doc, random_graph_edges
 from maxminfre.reduction import (
@@ -339,7 +340,7 @@ def test_projected_frontier_matches_stream_scan_on_covers(g, costs):
     so a merged state's smallest key often arrives after its first; keeping
     the first arrival, or a key that mixes score and code, shows in the
     winning triple."""
-    A = tuple(tuple(ONE if a else ZERO for a in row) for row in g.adjacency)
+    A = graph_to_instance(g).A
     free = tuple(costs[: g.n])
     inst = Instance(g.n, A, (ZERO,) * g.n, free, "min")
     admissible, _, distinct, region = _stream_scan(inst)
@@ -357,10 +358,12 @@ def test_projected_frontier_matches_stream_scan_on_covers(g, costs):
 def test_value_off_the_grid_fails_loudly(demo10, monkeypatch):
     import maxminfre.reduction as reduction
 
-    def drop_second_value(values):  # the per-solve table without its rank-1 value
-        return {pq: r for pq, r in rank_table(values).items() if r != 1}
+    class WithoutSecondValue(Lanes):  # the per-solve grid without its rank-1 value
+        def __init__(self, values, n):
+            values = sorted(set(values))
+            super().__init__(values[:1] + values[2:], n)
 
-    monkeypatch.setattr(reduction, "rank_table", drop_second_value)
+    monkeypatch.setattr(reduction, "Lanes", WithoutSecondValue)
     with pytest.raises(KeyError):
         solve(demo10)
     with pytest.raises(KeyError):
@@ -383,10 +386,8 @@ def lane_cases(draw):
 def test_packed_lanes_match_rank_vectors(case):
     size, a, b = case
     grid = tuple(Fraction(r, size - 1) for r in range(size))
-    lanes = Lanes(rank_table(grid), len(a))
-    packed_a, packed_b = (
-        lanes.pack(ranked(lanes.table, tuple(grid[r] for r in v))) for v in (a, b)
-    )
+    lanes = Lanes(grid, len(a))
+    packed_a, packed_b = (lanes.pack(lanes.rank(tuple(grid[r] for r in v))) for v in (a, b))
     assert lanes.unpack(packed_a) == a
     assert lanes.unpack(lanes.max(packed_a, packed_b)) == vec_max(a, b)
     assert lanes.unpack(lanes.min(packed_a, packed_b)) == vec_min(a, b)
@@ -556,6 +557,6 @@ def test_walk_order_does_not_change_results(inst, rng):
     st.randoms(use_true_random=False),
 )
 def test_walk_order_does_not_change_cover_results(g, costs, sense, rng):
-    A = tuple(tuple(ONE if a else ZERO for a in row) for row in g.adjacency)
+    A = graph_to_instance(g).A
     inst = Instance(g.n, A, (ZERO,) * g.n, tuple(costs[: g.n]), sense)
     assert _permuted_results(inst, rng) == _results(inst)

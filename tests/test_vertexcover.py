@@ -52,6 +52,8 @@ def test_parse_json_adjacency():
         ("e 1 2\n", "before problem"),
         ("p 2 1\ne 1 2 9\n", "bad edge line"),
         ("p a b 3 1\ne 1 2\n", "bad problem line"),
+        ("p 2 1\ne 1 2\np 3 1\n", "repeated problem line 3"),
+        ("p 3 2\ne 1 2\np 3 1\n", "repeated problem line 3"),
         ('{"edges": [[1, 2]]}', "adjacency"),
         ('{"adjacency": [[0, 1], [0, 0]]}', "symmetric"),
         ('{"adjacency": [[1]]}', "self-loop"),
