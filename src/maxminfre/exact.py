@@ -53,7 +53,7 @@ def parse_scalar(value) -> Fraction:
             if len(whole) <= MAX_EXPONENT + 1 and len(places) <= MAX_EXPONENT:
                 return Fraction(int(value.replace(".", "")), 10 ** len(places))
     if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
-        raise ValueError(f"not a numeric scalar: {value!r}")
+        raise ValueError(f"not a numeric scalar: {quoted(value)}")
     text = repr(value) if isinstance(value, float) else value
     if isinstance(text, str):
         _check_exponent(text)
@@ -65,7 +65,7 @@ def parse_scalar(value) -> Fraction:
     # over the size rule whatever d's factors, and then too long to show in a message
     oversized = d > _PLACES or abs(parsed.numerator) >= _MAGNITUDE * d
     if not oversized and pow(10, d.bit_length(), d):  # d | 10^bit_length(d) iff d = 2^a * 5^b
-        raise ValueError(f"{value!r} has no finite decimal form")
+        raise ValueError(f"{quoted(value)} has no finite decimal form")
     if oversized or _PLACES % d:
         shown = quoted(text) if isinstance(text, str) else type(value).__name__
         raise ValueError(
@@ -86,9 +86,13 @@ def _check_exponent(text: str) -> None:
         raise ValueError(f"{quoted(text)} has an exponent beyond +-{MAX_EXPONENT}")
 
 
-def quoted(text) -> str:
-    """repr of an input value, cut short when it is a long string."""
-    return repr(text if not isinstance(text, str) or len(text) <= 40 else text[:37] + "...")
+def quoted(value) -> str:
+    """repr of an input value, cut short when it is long: a string past 40
+    characters to its first 37 and "...", any other repr the same way."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 40 else value[:37] + "...")
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
 
 
 def _pow10_exponent(denominator: int) -> int:

@@ -13,9 +13,10 @@ The two maximal constructions are the same for diag_eq and diag_lt rows:
 variant 1 caps the row's own coordinate at b_i, variant 2 caps every column
 with a_ij > b_i at b_i.  Aggregating per-class extremals componentwise gives
 the box bounds that assemble the full feasible region.  Each extremal vector
-is 0 or 1 except for b_i at its row, anchor or strict support, so
-``ExtremalSet`` builds a vector only when it is read, and the solve path,
-which reads the targets alone, builds none.
+is 0 or 1 except for b_i at its row, anchor or strict support, so the bounds
+read the targets b alone, and the solve, which passes the ``Instance``,
+builds no ``ExtremalSet``; ``extremal_solutions`` builds every family in
+full for the commands and references that read the vectors.
 """
 
 from __future__ import annotations
@@ -90,50 +91,37 @@ def classify_rows(inst: Instance) -> RowClassification:
     )
 
 
-# a dataclass, not a NamedTuple: cached_property needs an instance __dict__
-@dataclass(frozen=True)
-class ExtremalSet:
-    """Every single-row extremal vector, built family by family on first read."""
+class ExtremalSet(NamedTuple):
+    """Every single-row extremal vector, family by family."""
 
-    cls: RowClassification
     b: Vec  # the row targets, b_i = b[i - 1]: the only value off {0, 1}
-
-    def _vector(self, fill: Fraction, i: int, coords) -> Vec:
-        """``fill`` everywhere except b_i at the 1-based ``coords``."""
-        vec = [fill] * self.cls.n
-        for j in coords:
-            vec[j - 1] = self.b[i - 1]
-        return tuple(vec)
-
-    @cached_property
-    def row_max(self) -> dict[int, Vec]:  # diag_gt rows: unique maximum
-        return {i: self._vector(ONE, i, (i,)) for i in self.cls.diag_gt}
-
-    @cached_property
-    def row_min(self) -> dict[int, Vec]:  # diag_gt and diag_eq rows: unique minimum
-        return {i: self._vector(ZERO, i, (i,)) for i in self.cls.diag_gt + self.cls.diag_eq}
-
-    @cached_property
-    def max_pin(self) -> dict[int, Vec]:  # diag_eq/diag_lt rows: variant-1 maximal
-        cls = self.cls
-        return {i: self._vector(ONE, i, cls.caps(i, 1)) for i in cls.diag_eq + cls.diag_lt}
-
-    @cached_property
-    def max_cap(self) -> dict[int, Vec]:  # diag_eq/diag_lt rows: variant-2 maximal
-        cls = self.cls
-        return {i: self._vector(ONE, i, cls.caps(i, 2)) for i in cls.diag_eq + cls.diag_lt}
-
-    @cached_property
-    def min_anchor(self) -> dict[tuple[int, int], Vec]:  # diag_lt rows: minimal per anchor
-        cls = self.cls
-        return {(i, j): self._vector(ZERO, i, (i, j)) for i in cls.diag_lt for j in cls.support[i]}
+    row_max: dict[int, Vec]  # diag_gt rows: unique maximum
+    row_min: dict[int, Vec]  # diag_gt and diag_eq rows: unique minimum
+    max_pin: dict[int, Vec]  # diag_eq/diag_lt rows: variant-1 maximal
+    max_cap: dict[int, Vec]  # diag_eq/diag_lt rows: variant-2 maximal
+    min_anchor: dict[tuple[int, int], Vec]  # diag_lt rows: minimal per anchor
 
     def maximal(self, i: int, variant: int) -> Vec:
         return self.max_pin[i] if variant == 1 else self.max_cap[i]
 
 
 def extremal_solutions(inst: Instance, cls: RowClassification) -> ExtremalSet:
-    return ExtremalSet(cls, inst.b)
+    def vector(fill: Fraction, i: int, coords) -> Vec:
+        """``fill`` everywhere except b_i at the 1-based ``coords``."""
+        vec = [fill] * cls.n
+        for j in coords:
+            vec[j - 1] = inst.b[i - 1]
+        return tuple(vec)
+
+    capped = cls.diag_eq + cls.diag_lt
+    return ExtremalSet(
+        b=inst.b,
+        row_max={i: vector(ONE, i, (i,)) for i in cls.diag_gt},
+        row_min={i: vector(ZERO, i, (i,)) for i in cls.diag_gt + cls.diag_eq},
+        max_pin={i: vector(ONE, i, cls.caps(i, 1)) for i in capped},
+        max_cap={i: vector(ONE, i, cls.caps(i, 2)) for i in capped},
+        min_anchor={(i, j): vector(ZERO, i, (i, j)) for i in cls.diag_lt for j in cls.support[i]},
+    )
 
 
 # a dataclass, not a NamedTuple: cached_property needs an instance __dict__
@@ -155,14 +143,15 @@ class BoundVectors:
         return vec_max(self.lower_gt, self.lower_eq)
 
 
-def aggregate_bounds(ext: ExtremalSet, cls: RowClassification) -> BoundVectors:
+def aggregate_bounds(source: Instance | ExtremalSet, cls: RowClassification) -> BoundVectors:
     """Each diag_gt/diag_eq row_min and row_max is 0 or 1 except for b_i at
-    the row's own coordinate, so every component is read from ``ext.b``."""
+    the row's own coordinate, so every component is read from the targets
+    ``source.b``, which an instance and its extremal set hold alike."""
     lower_gt, upper_gt, lower_eq = [ZERO] * cls.n, [ONE] * cls.n, [ZERO] * cls.n
     for i in cls.diag_gt:
-        lower_gt[i - 1] = upper_gt[i - 1] = ext.b[i - 1]
+        lower_gt[i - 1] = upper_gt[i - 1] = source.b[i - 1]
     for i in cls.diag_eq:
-        lower_eq[i - 1] = ext.b[i - 1]
+        lower_eq[i - 1] = source.b[i - 1]
     return BoundVectors(
         lower_gt=tuple(lower_gt), upper_gt=tuple(upper_gt), lower_eq=tuple(lower_eq)
     )

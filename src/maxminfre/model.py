@@ -119,7 +119,7 @@ def instance_from_doc(doc: dict) -> Instance:
     sense = str(doc.get("sense", "min")).lower()
     sense = {"min": "min", "minimize": "min", "max": "max", "maximize": "max"}.get(sense)
     if sense is None:
-        raise InstanceError(f"sense must be min or max, got {doc.get('sense')!r}")
+        raise InstanceError(f"sense must be min or max, got {quoted(doc.get('sense'))}")
 
     memo = _distinct_unit_values(doc["A"], doc["b"])
     if memo is not None:

@@ -5,9 +5,9 @@ domain: which maximal variant participates (values 1/2) and, for diag_lt
 rows, which anchor column carries the minimal solution.  The rules below
 remove selector values that can only produce empty boxes; they never remove
 an admissible selection.  Removed values leave the row's domain; the
-extremal vectors that the values stand for (``ExtremalSet``) never change,
-and each equals its row's target b_i wherever it is not 0 or 1, so the rules
-compare row targets with the bounds.
+extremal vectors that the values stand for never change, and each equals its
+row's target b_i wherever it is not 0 or 1, so the rules compare the
+instance's row targets with the bounds and build no ``ExtremalSet``.
 
 Rule summary (targets in parentheses):
 
@@ -124,13 +124,13 @@ class ReductionState:
 
 
 def initial_state(
-    ext: ExtremalSet, cls: RowClassification, bounds: BoundVectors
+    inst: Instance, cls: RowClassification, bounds: BoundVectors
 ) -> ReductionState:
     """Full domains, and one grid of every value the rules and the
     frontier compare: 0, 1, the bound components and the diag_eq/diag_lt
-    targets, read from ``ext.b``, so no extremal vector is built."""
+    targets, read from ``inst.b``."""
     rows = cls.diag_eq + cls.diag_lt
-    targets = tuple([ext.b[i - 1] for i in rows])
+    targets = tuple([inst.b[i - 1] for i in rows])
     lanes = Lanes((ZERO, ONE, *bounds.lower, *bounds.upper_gt, *targets), cls.n)
     state = ReductionState(
         cls=cls,
@@ -202,6 +202,8 @@ def apply_cross_rules(state: ReductionState) -> ReductionState:
     a_rs > b_r is read as s in the strict support of r, which ascends like
     the diag_lt rows, so the first witness is the same.  Only diag_lt rows
     s qualify, and a diag_gt row has no target, so that test comes first.
+    No s equals r: a diag_eq or diag_lt row has a_rr <= b_r, so r is not in
+    its own strict support.
     """
     target, lt = state.target, set(state.lt_rows)
     for rule, dom, rows in ((4, state.eq_dom, state.eq_rows), (5, state.lt_dom, state.lt_rows)):
@@ -213,7 +215,7 @@ def apply_cross_rules(state: ReductionState) -> ReductionState:
                 (
                     s
                     for s in state.cls.support_strict[r]
-                    if s in lt and s != r and target[r] < target[s]
+                    if s in lt and target[r] < target[s]
                 ),
                 None,
             )
@@ -261,12 +263,12 @@ def apply_pinned_rules(state: ReductionState) -> ReductionState:
 def reduce_domains(
     inst: Instance,
     cls: RowClassification,
-    ext: ExtremalSet,
+    ext: ExtremalSet | None,
     bounds: BoundVectors,
 ) -> ReductionState:
-    """Full rule pipeline; stops early once infeasibility is recorded.  ``inst``
-    is not read: the rules take the row targets from ``ext``."""
-    state = initial_state(ext, cls, bounds)
+    """Full rule pipeline; stops early once infeasibility is recorded.  ``ext``
+    is not read: the rules take the row targets from ``inst``."""
+    state = initial_state(inst, cls, bounds)
     for rules in (apply_bound_rules, apply_minimal_rule3, apply_cross_rules, apply_pinned_rules):
         if rules(state).infeasible:
             break

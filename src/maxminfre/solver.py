@@ -1,11 +1,14 @@
 """End-to-end solve pipeline.
 
-classify -> extremals -> bounds -> feasibility gates -> rules -> selector
-levels -> merged states scored coordinate by coordinate -> the winning box's
-candidate.  A selector triple (anchor assignment, diag_eq variants, diag_lt
-variants) is admissible when its box is nonempty; by construction the
-feasible region is exactly the union of those boxes, and some admissible
-triple's candidate attains the optimum.
+classify -> bounds -> feasibility gates -> rules -> selector levels ->
+merged states scored coordinate by coordinate -> the winning box's
+candidate.  The bounds, the rules and the levels read the row targets from
+the ``Instance``, so a solve builds no extremal vector; only the reference
+stream ``enumerate_admissible`` reads an ``ExtremalSet``.  A selector triple
+(anchor assignment, diag_eq variants, diag_lt variants) is admissible when
+its box is nonempty; by construction the feasible region is exactly the
+union of those boxes, and some admissible triple's candidate attains the
+optimum.
 
 The selectors form one table of levels, one per row: anchor rows raise the
 partial box's lower bound, then eq rows and lt rows lower its upper bound,
@@ -95,7 +98,6 @@ from .extremals import (
     RowClassification,
     aggregate_bounds,
     classify_rows,
-    extremal_solutions,
     vec_le,
     vec_max,
     vec_min,
@@ -370,15 +372,14 @@ def _picks(lanes: Lanes, c: Vec, sense: str) -> list:
 def _prepare(inst: Instance, use_rules: bool):
     """(state, verdict); the state is None when the gate decides."""
     cls = classify_rows(inst)
-    ext = extremal_solutions(inst, cls)
-    bounds = aggregate_bounds(ext, cls)
+    bounds = aggregate_bounds(inst, cls)
     gate = gate_feasibility(inst, cls, bounds)
     if gate is not None:
         return None, gate
     if use_rules:
-        state = reduce_domains(inst, cls, ext, bounds)
+        state = reduce_domains(inst, cls, None, bounds)
     else:
-        state = initial_state(ext, cls, bounds)
+        state = initial_state(inst, cls, bounds)
     return state, state.infeasible
 
 

@@ -15,7 +15,7 @@ import json
 import os
 from typing import NamedTuple
 
-from .exact import ONE, ZERO, Vec
+from .exact import ONE, ZERO, Vec, quoted
 from .extremals import classify_rows
 from .model import Instance
 from .solver import Solution, solve
@@ -32,13 +32,17 @@ class Graph(NamedTuple):
 
 def make_graph(n: int, edges) -> Graph:
     if n < 1:
-        raise GraphError(f"vertex count must be positive, got {n}")
+        raise GraphError(f"vertex count must be positive, got {quoted(n)}")
     normalized = set()
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:  # no bool, no float
+            raise GraphError(f"edge ({quoted(u)}, {quoted(v)}): vertex ids must be ints")
         if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphError(f"edge ({u}, {v}) outside vertex range 1..{n}")
+            raise GraphError(
+                f"edge ({quoted(u)}, {quoted(v)}) outside vertex range 1..{quoted(n)}"
+            )
         if u == v:
-            raise GraphError(f"self-loop at vertex {u}; only simple graphs are supported")
+            raise GraphError(f"self-loop at vertex {quoted(u)}; only simple graphs are supported")
         normalized.add((min(u, v), max(u, v)))
     return Graph(n=n, edges=frozenset(normalized))
 
@@ -56,7 +60,7 @@ def graph_from_adjacency(matrix) -> Graph:
         for j in range(n):
             val = matrix[i][j]
             if type(val) is not int or val not in (0, 1):  # no bool, no float
-                raise GraphError(f"adjacency entries must be 0/1, got {val!r}")
+                raise GraphError(f"adjacency entries must be 0/1, got {quoted(val)}")
             if matrix[i][j] != matrix[j][i]:
                 raise GraphError(f"adjacency must be symmetric (rows {i + 1}, {j + 1})")
             if i == j and val:
@@ -69,7 +73,8 @@ def graph_from_adjacency(matrix) -> Graph:
 def parse_graph(text: str) -> Graph:
     """Parse either an edge-list ('p <n> <m>', or DIMACS 'p <format> <n> <m>',
     then 'e <u> <v>' lines, 'c' comments) or a JSON object with an
-    "adjacency" matrix."""
+    "adjacency" matrix.  The problem line sets ``n`` and the declared edge
+    count together, so once a missing ``n`` has raised, the count is set."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -89,13 +94,13 @@ def parse_graph(text: str) -> Graph:
         parts = line.split()
         if parts[0] == "p":
             if n is not None:
-                raise GraphError(f"repeated problem line {lineno}: {raw!r}")
+                raise GraphError(f"repeated problem line {lineno}: {quoted(raw)}")
             try:
                 if len(parts) not in (3, 4):
                     raise ValueError("expected 'p [<format>] <n> <m>'")
                 n, declared_edges = int(parts[-2]), int(parts[-1])
             except ValueError as exc:
-                raise GraphError(f"bad problem line {lineno}: {raw!r}") from exc
+                raise GraphError(f"bad problem line {lineno}: {quoted(raw)}") from exc
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"edge before problem line at line {lineno}")
@@ -103,15 +108,15 @@ def parse_graph(text: str) -> Graph:
                 _, u, v = parts
                 edges.append((int(u), int(v)))
             except ValueError as exc:
-                raise GraphError(f"bad edge line {lineno}: {raw!r}") from exc
+                raise GraphError(f"bad edge line {lineno}: {quoted(raw)}") from exc
         else:
-            raise GraphError(f"unrecognized line {lineno}: {raw!r}")
+            raise GraphError(f"unrecognized line {lineno}: {quoted(raw)}")
     if n is None:
         raise GraphError("missing problem line 'p <n> <m>'")
     graph = make_graph(n, edges)
-    if declared_edges is not None and declared_edges != len(graph.edges):
+    if declared_edges != len(graph.edges):
         raise GraphError(
-            f"header declares {declared_edges} edges, found {len(graph.edges)}"
+            f"header declares {quoted(declared_edges)} edges, found {len(graph.edges)}"
         )
     return graph
 

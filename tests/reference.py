@@ -2,11 +2,12 @@
 extremals, bounds, gate and rules.
 
 These are the plain definitions that the library implements with cross
-products (``classify_rows``), vectors built on first read
-(``extremal_solutions``), targets read directly (``aggregate_bounds``) and
-integer ranks (``gate_feasibility`` and the seven rules): every comparison
-is a ``Fraction`` comparison, every extremal vector is built up front and
-scanned in full, and every removal rebuilds its domain.  The differential
+products (``classify_rows``), vectors written only at the target's
+coordinates (``extremal_solutions``), targets read directly
+(``aggregate_bounds``) and integer ranks (``gate_feasibility`` and the seven
+rules): every comparison is a ``Fraction`` comparison, every extremal vector
+is built coordinate by coordinate and scanned in full, and every removal
+rebuilds its domain.  The differential
 tests compare the library against them.
 
 ``parse_scalar`` reads every string through ``Fraction(text)``, which the
@@ -68,7 +69,7 @@ from maxminfre.vertexcover import graph_to_instance
 
 def parse_scalar(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
-        raise ValueError(f"not a numeric scalar: {value!r}")
+        raise ValueError(f"not a numeric scalar: {quoted(value)}")
     text = repr(value) if isinstance(value, float) else value
     if isinstance(text, str):
         _check_exponent(text)
@@ -79,7 +80,7 @@ def parse_scalar(value) -> Fraction:
     d = parsed.denominator
     oversized = d > 10**MAX_EXPONENT or abs(parsed) >= 10 ** (MAX_EXPONENT + 1)
     if not oversized and pow(10, d.bit_length(), d):
-        raise ValueError(f"{value!r} has no finite decimal form")
+        raise ValueError(f"{quoted(value)} has no finite decimal form")
     if oversized or decimal_places(parsed) > MAX_EXPONENT:
         shown = quoted(text) if isinstance(text, str) else type(value).__name__
         raise ValueError(

@@ -223,6 +223,29 @@ def test_vc_subcommand(capsys, triangle_file, tmp_path):
         assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "command, text, start",
+    [
+        (
+            "solve",
+            json.dumps({"A": [["0.5"]], "b": ["0.5"], "c": ["1"], "sense": "x" * 100_000}),
+            "error: sense must be min or max, got 'xxx",
+        ),
+        ("solve", '{"A": [["0.5"]], "b": [%d], "c": ["1"]}' % 3**2000, "error: b[1] = '1747"),
+        ("vc", "p 3 1\n" + "z" * 100_000 + "\ne 1 2\n", "error: unrecognized line 2: 'zzz"),
+        ("vc", "p edge " + "9" * 100_000 + " 1\n", "error: bad problem line 1: 'p edge 999"),
+        ("vc", '{"adjacency": [["' + "x" * 100_000 + '"]]}', "error: adjacency entries"),
+    ],
+    ids=["sense", "b", "line", "problem-line", "adjacency-value"],
+)
+def test_oversized_input_is_an_input_error_echoed_short(capsys, tmp_path, command, text, start):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(start) and "..." in err and len(err) < 200
+
+
 def test_oracle_subcommand(capsys, tmp_path, triangle_file, infeasible_file):
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps({"A": [["0.55"]], "b": ["0.55"], "c": ["1"], "sense": "min"}))

@@ -9,6 +9,7 @@ from maxminfre.exact import (
     decimal_str,
     display_round,
     parse_scalar,
+    quoted,
 )
 
 from . import reference
@@ -98,6 +99,15 @@ def test_sums_of_products_of_accepted_scalars_render(pairs):
     assert Fraction(decimal_str(total)) == total
 
 
+def test_quoted_cuts_any_long_repr():
+    assert quoted("x" * 40) == repr("x" * 40)
+    assert quoted("x" * 41) == repr("x" * 37 + "...")
+    assert quoted(10**39) == repr(10**39)  # 40 digits
+    assert quoted(10**40) == "1" + "0" * 36 + "..."
+    assert quoted(["1"] * 50_000) == repr(["1"] * 50_000)[:37] + "..."
+    assert quoted(None) == "None"
+
+
 def test_decimal_str_round_trips():
     for text in ("0.66", "-13.0727", "0", "1", "0.04", "-0.5"):
         assert decimal_str(Fraction(text)) == text
@@ -141,8 +151,8 @@ _plain_decimals = st.builds(
     st.integers(0, 10**30),
     st.just("") | st.text("0123456789", min_size=1, max_size=40).map(lambda d: "." + d),
 )
-# Everything else takes the general path, plain decimals with more digits
-# than int() converts included.
+# Everything else takes the general path, plain decimals with more than 1001
+# integer digits or 1000 decimal places included.
 _general_forms = st.one_of(
     st.sampled_from(
         [

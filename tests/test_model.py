@@ -109,6 +109,28 @@ def test_load_rejects_bad_sense():
         load_instance({"A": [["0.5"]], "b": ["0.5"], "c": ["1"], "sense": "best"})
 
 
+# Each value was once echoed in full: 1004, 977, 100,032 and up to 250,031
+# characters.  The message now cuts it and still names the field.
+@pytest.mark.parametrize(
+    "doc, start",
+    [
+        ({"A": [[Fraction(1, 3**2000)]], "b": ["0.5"], "c": ["1"]}, "A[1][1]: Fraction(1, 1747"),
+        ({"A": [["0.5"]], "b": [3**2000], "c": ["1"]}, "b[1] = 1747"),
+        (
+            {"A": [["0.5"]], "b": ["0.5"], "c": ["1"], "sense": "x" * 100_000},
+            "sense must be min or max, got 'xxx",
+        ),
+        ({"A": [[["1"] * 50_000]], "b": ["0.5"], "c": ["1"]}, "A[1][1]: not a numeric scalar: ["),
+    ],
+    ids=["fraction", "int", "sense", "list"],
+)
+def test_oversized_value_is_echoed_short(doc, start):
+    with pytest.raises(InstanceError) as exc:
+        load_instance(doc)
+    message = str(exc.value)
+    assert message.startswith(start) and "..." in message and len(message) < 200
+
+
 def test_numeric_entries_parse_exactly():
     inst = load_instance(json.dumps({"A": [[0.66]], "b": [0.66], "c": [1], "sense": "min"}))
     assert inst.A[0][0] == Fraction(66, 100)

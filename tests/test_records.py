@@ -11,6 +11,7 @@ import pytest
 from maxminfre import (
     check_membership,
     classify_rows,
+    extremal_solutions,
     feasible_region,
     load_instance,
     make_graph,
@@ -30,6 +31,7 @@ FIELDS = {
     "Instance": ("n", "A", "b", "c", "sense"),
     "RowStatus": ("row", "achieved", "required", "witness", "violation"),
     "MembershipReport": ("feasible", "rows"),
+    "ExtremalSet": ("b", "row_max", "row_min", "max_pin", "max_cap", "min_anchor"),
     "RowClassification": (
         "n",
         "support",
@@ -73,6 +75,7 @@ def _records() -> dict:
         membership.rows[0],
         membership,
         classify_rows(inst),
+        extremal_solutions(inst, classify_rows(inst)),
         feasible_region(inst)[0],
         grid_optimum(inst),
         agreement.disagreements[0],

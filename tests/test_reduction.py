@@ -58,7 +58,7 @@ def _admissible(inst, cls, ext, bounds, anchors, eqs, lts):
 def test_demo_masks(demo10):
     """Row tuples and initial domains on demo10; the extremal vectors come from ext."""
     cls, ext, bounds = _pipeline(demo10)
-    state = initial_state(ext, cls, bounds)
+    state = initial_state(demo10, cls, bounds)
     assert state.eq_rows == (2, 4, 5, 6) and state.lt_rows == (7, 8, 10)
     assert ext.maximal(2, 1) == fracs(1, "0.57", 1, 1, 1, 1, 1, 1, 1, 1)
     assert state.anchor_dom == {7: (1, 3, 4, 6, 9, 10), 8: (1, 2, 4, 5, 7, 9), 10: (1, 2, 5, 9)}
@@ -69,8 +69,8 @@ def test_demo_masks(demo10):
 def test_masks_empty_when_no_lt_rows():
     """A 1x1 instance has no eq or lt rows, so every initial domain is empty."""
     inst = load_instance({"A": [["0.9"]], "b": ["0.5"], "c": ["1"]})
-    cls, ext, bounds = _pipeline(inst)
-    state = initial_state(ext, cls, bounds)
+    cls, _, bounds = _pipeline(inst)
+    state = initial_state(inst, cls, bounds)
     assert state.eq_rows == () and state.lt_rows == ()
     assert state.eq_dom == state.lt_dom == state.anchor_dom == {}
 
@@ -94,7 +94,7 @@ def test_demo_final_domains(demo10):
 
 def test_demo_anchor_domains_after_rule3(demo10):
     cls, ext, bounds = _pipeline(demo10)
-    state = initial_state(ext, cls, bounds)
+    state = initial_state(demo10, cls, bounds)
     apply_bound_rules(state)
     apply_minimal_rule3(state)
     assert state.anchor_dom == {7: (1, 4, 6, 10), 8: (1, 2, 4, 5, 7), 10: (1, 2, 5)}
@@ -103,7 +103,7 @@ def test_demo_anchor_domains_after_rule3(demo10):
 def test_trace_replay_reproduces_domains(demo10):
     cls, ext, bounds = _pipeline(demo10)
     state = reduce_domains(demo10, cls, ext, bounds)
-    replayed = initial_state(ext, cls, bounds)
+    replayed = initial_state(demo10, cls, bounds)
     for event in state.trace:
         if event.rule in (1, 4):
             dom = replayed.eq_dom
@@ -152,28 +152,28 @@ def test_variant_exhaustion_verdicts_with_synthetic_bounds():
     inst = load_instance(
         {"A": [["0.5", "0.6"], ["0.1", "0.2"]], "b": ["0.5", "0.2"], "c": ["1", "1"]}
     )
-    cls, ext, _ = _pipeline(inst)
+    cls, _, _ = _pipeline(inst)
     fake = BoundVectors(
         lower_gt=fracs("0.9", "0.9"), upper_gt=fracs(1, 1), lower_eq=fracs(0, 0)
     )
-    state = apply_bound_rules(initial_state(ext, cls, fake))
+    state = apply_bound_rules(initial_state(inst, cls, fake))
     assert state.infeasible is not None and state.infeasible.cause == CAUSE_EQ_VARIANTS
     assert state.eq_dom[1] == ()
 
     inst2 = load_instance(
         {"A": [["0.1", "0.6"], ["0.1", "0.9"]], "b": ["0.5", "0.2"], "c": ["1", "1"]}
     )
-    cls2, ext2, _ = _pipeline(inst2)
-    state2 = apply_bound_rules(initial_state(ext2, cls2, fake))
+    cls2, _, _ = _pipeline(inst2)
+    state2 = apply_bound_rules(initial_state(inst2, cls2, fake))
     assert state2.infeasible is not None and state2.infeasible.cause == CAUSE_LT_VARIANTS
 
 
 def test_table_holds_caller_made_bounds():
     # a bound component off the instance grid is still ranked, not rejected
     inst = load_instance({"A": [["0.9"]], "b": ["0.5"], "c": ["1"]})
-    cls, ext, _ = _pipeline(inst)
+    cls, _, _ = _pipeline(inst)
     fake = BoundVectors(lower_gt=fracs("0.5"), upper_gt=fracs("0.5"), lower_eq=fracs("0.8"))
-    state = initial_state(ext, cls, fake)
+    state = initial_state(inst, cls, fake)
     assert state.lanes.grid == fracs(0, "0.5", "0.8", 1)
     assert (state.lower, state.upper) == ((2,), (1,))
 

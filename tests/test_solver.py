@@ -34,9 +34,11 @@ from maxminfre.reduction import (
     reduce_domains,
 )
 from maxminfre import solver
+from maxminfre.cli import main
 from maxminfre.solver import enumerate_admissible
 
 from .conftest import (
+    DATA_DIR,
     DEMO_OBJECTIVE,
     DEMO_OPTIMUM,
     DEMO_REGION_LOWER,
@@ -124,7 +126,7 @@ def test_enumeration_streams_in_lexicographic_order(demo10):
 def test_enumeration_matches_cross_product_filter(inst):
     cls, ext, bounds = _prep(inst)
     assume(not cls.empty_support)
-    state = initial_state(ext, cls, bounds)
+    state = initial_state(inst, cls, bounds)
     total = 1
     for dom in (
         [cls.support[i] for i in cls.diag_lt]
@@ -409,9 +411,9 @@ def test_seed10_merges_every_triple_into_one_box():
     assert len(feasible_region(inst, dedup=False)) == 1
 
 
-def test_solve_and_region_build_no_extremal_vector(demo10, monkeypatch):
-    """The solve path and the cover audit read the row targets only, never a
-    vector family."""
+def test_solve_and_region_build_no_extremal_vector(demo10, monkeypatch, capsys):
+    """The solve path, ``maxminfre reduce`` and the cover audit read the row
+    targets from the instance and build no ``ExtremalSet`` at all."""
     import maxminfre.extremals as extremals
 
     cases = [
@@ -424,14 +426,17 @@ def test_solve_and_region_build_no_extremal_vector(demo10, monkeypatch):
     def run():
         cover = solve_cover(graph)
         solved = [(solve(inst), feasible_region(inst)) for inst in cases]
-        return solved, cover, verify_structure(cover, graph)
+        reduced = main(["reduce", str(DATA_DIR / "demo10.json")]), capsys.readouterr()
+        return solved, cover, verify_structure(cover, graph), reduced
 
     expected = run()
 
-    def refuse(self, fill, i, coords):
-        raise AssertionError("the solve path built an extremal vector")
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("the solve path built an ExtremalSet")
 
-    monkeypatch.setattr(extremals.ExtremalSet, "_vector", refuse)
+    monkeypatch.setattr(extremals.ExtremalSet, "__new__", refuse)
+    with pytest.raises(AssertionError, match="built an ExtremalSet"):
+        extremals.extremal_solutions(demo10, classify_rows(demo10))
     assert run() == expected
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -67,6 +68,33 @@ def test_parse_json_adjacency():
 def test_parse_rejects_malformed(text, match):
     with pytest.raises(GraphError, match=match):
         load_graph(text)
+
+
+# Each text was once echoed in full in the message, 100,000 characters of it.
+@pytest.mark.parametrize(
+    "text, start",
+    [
+        ("p edge 3 1\n" + "z" * 100_000 + "\ne 1 2\n", "unrecognized line 2: 'zzz"),
+        ("p edge " + "9" * 100_000 + " 1\ne 1 2\n", "bad problem line 1: 'p edge 999"),
+        ('{"adjacency": [["' + "x" * 100_000 + '"]]}', "adjacency entries must be 0/1, got 'xxx"),
+        ("p 3 1\ne 1 " + "9" * 4000 + "\n", "edge (1, 999"),
+        ("p %s 1\ne %s %s\n" % (("9" * 4000,) * 3), "self-loop at vertex 999"),
+        ("p 3 " + "9" * 4000 + "\ne 1 2\n", "header declares 999"),
+    ],
+    ids=["line", "problem-line", "adjacency-value", "vertex", "self-loop", "edge-count"],
+)
+def test_oversized_line_or_value_is_echoed_short(text, start):
+    with pytest.raises(GraphError) as exc:
+        parse_graph(text)
+    message = str(exc.value)
+    assert message.startswith(start) and "..." in message and len(message) < 200
+
+
+@pytest.mark.parametrize("vertex", [1.5, True, "1"])
+def test_make_graph_rejects_a_vertex_id_that_is_not_an_int(vertex):
+    message = f"edge ({vertex!r}, 2): vertex ids must be ints"
+    with pytest.raises(GraphError, match=re.escape(message) + "$"):
+        make_graph(3, [(vertex, 2)])
 
 
 def test_load_graph_reads_one_line_edge_list_inline(tmp_path, monkeypatch):
