@@ -18,7 +18,7 @@ import sys
 import time
 import traceback
 
-from .exact import decimal_str, display_round, vector_str
+from .exact import _file_message, _read_text, decimal_str, display_round, vector_str
 from .extremals import Cell, classify_rows, extremal_solutions
 from .generate import (
     KINDS,
@@ -231,8 +231,7 @@ def cmd_vc(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.path, InstanceError, "instance or graph")
     # a JSON object is a graph iff it has a top-level "adjacency" key
     doc = parse_json(text) if text.lstrip().startswith("{") else None
     if doc is None or "adjacency" in doc:
@@ -282,8 +281,11 @@ def cmd_gen(args) -> int:
     except ValueError as exc:  # generator parameters out of range
         raise InstanceError(str(exc)) from exc
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise OSError(_file_message("write output file", args.output, exc)) from exc
     else:
         sys.stdout.write(payload)
     return OK

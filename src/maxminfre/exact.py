@@ -7,6 +7,10 @@ the form 2^a * 5^b), so results can always be rendered back as decimal
 strings without loss.  An input scalar has at most ``MAX_EXPONENT`` decimal
 places and a magnitude below 10**(MAX_EXPONENT + 1), which keeps every such
 rendering within the digits Python turns into text.
+
+The module also holds what every loader uses to name a bad input without
+echoing all of it: ``quoted`` for a value, and the file reader
+``_read_text``, whose message cuts a long path to its end.
 """
 
 from __future__ import annotations
@@ -93,6 +97,26 @@ def quoted(value) -> str:
         return repr(value if len(value) <= 40 else value[:37] + "...")
     shown = repr(value)
     return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
+def _file_message(doing: str, path: str, exc: OSError) -> str:
+    """"cannot <doing> '<path>': <the system's reason>", under 200 bytes: the
+    path is written with ASCII escapes and, past 100 characters, cut to "..."
+    and its last 97, where the file name is."""
+    shown = ascii(path)[1:-1]
+    if len(shown) > 100:
+        shown = "..." + shown[-97:]
+    return f"cannot {doing} '{shown}': {exc.strerror}"
+
+
+def _read_text(path: str, error: type[ValueError], what: str) -> str:
+    """The text of a file, or ``error`` saying why the ``what`` file cannot
+    be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(_file_message(f"read {what} file", path, exc)) from exc
 
 
 def _pow10_exponent(denominator: int) -> int:

@@ -22,9 +22,7 @@ full for the commands and references that read the vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .exact import ONE, ZERO, Vec
@@ -124,9 +122,7 @@ def extremal_solutions(inst: Instance, cls: RowClassification) -> ExtremalSet:
     )
 
 
-# a dataclass, not a NamedTuple: cached_property needs an instance __dict__
-@dataclass(frozen=True)
-class BoundVectors:
+class BoundVectors(NamedTuple):
     """Componentwise aggregates over the selector-free extremal families.
 
     Empty families follow the lattice conventions: a max over nothing is the
@@ -136,25 +132,25 @@ class BoundVectors:
     lower_gt: Vec  # max of diag_gt minimums
     upper_gt: Vec  # min of diag_gt maximums
     lower_eq: Vec  # max of diag_eq minimums
-
-    @cached_property
-    def lower(self) -> Vec:
-        """The combined lower bound every box starts from."""
-        return vec_max(self.lower_gt, self.lower_eq)
+    lower: Vec  # max of lower_gt and lower_eq: the lower bound every box starts from
 
 
 def aggregate_bounds(source: Instance | ExtremalSet, cls: RowClassification) -> BoundVectors:
     """Each diag_gt/diag_eq row_min and row_max is 0 or 1 except for b_i at
     the row's own coordinate, so every component is read from the targets
-    ``source.b``, which an instance and its extremal set hold alike."""
+    ``source.b``, which an instance and its extremal set hold alike.  The
+    diag_gt and diag_eq rows are disjoint, so ``lower`` is max(b_i, 0) on
+    them and 0 elsewhere; the sign is read off the numerator, which also
+    keeps a negative target of an unvalidated instance at 0."""
     lower_gt, upper_gt, lower_eq = [ZERO] * cls.n, [ONE] * cls.n, [ZERO] * cls.n
+    lower = [ZERO] * cls.n
     for i in cls.diag_gt:
-        lower_gt[i - 1] = upper_gt[i - 1] = source.b[i - 1]
+        lower_gt[i - 1] = upper_gt[i - 1] = target = source.b[i - 1]
+        lower[i - 1] = target if target.numerator > 0 else ZERO
     for i in cls.diag_eq:
-        lower_eq[i - 1] = source.b[i - 1]
-    return BoundVectors(
-        lower_gt=tuple(lower_gt), upper_gt=tuple(upper_gt), lower_eq=tuple(lower_eq)
-    )
+        lower_eq[i - 1] = target = source.b[i - 1]
+        lower[i - 1] = target if target.numerator > 0 else ZERO
+    return BoundVectors(tuple(lower_gt), tuple(upper_gt), tuple(lower_eq), tuple(lower))
 
 
 class Cell(NamedTuple):

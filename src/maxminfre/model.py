@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .exact import ZERO, Vec, parse_scalar, quoted
+from .exact import ZERO, Vec, _read_text, parse_scalar, quoted
 
 
 class InstanceError(ValueError):
@@ -173,11 +173,7 @@ def load_instance(source) -> Instance:
         return instance_from_doc(source)
     text = str(source)
     if os.path.isfile(text) or not text.lstrip().startswith("{"):
-        try:
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InstanceError(f"cannot read instance file: {exc}") from exc
+        text = _read_text(text, InstanceError, "instance")
     return instance_from_doc(parse_json(text))
 
 

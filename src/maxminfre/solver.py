@@ -8,7 +8,9 @@ stream ``enumerate_admissible`` reads an ``ExtremalSet``.  A selector triple
 (anchor assignment, diag_eq variants, diag_lt variants) is admissible when
 its box is nonempty; by construction the feasible region is exactly the
 union of those boxes, and some admissible triple's candidate attains the
-optimum.
+optimum.  ``gate_feasibility`` is the only check of the root box (the
+combined lower bound against the diag_gt upper bound): past it the root box
+is nonempty, and the walks start from its ranks.
 
 The selectors form one table of levels, one per row: anchor rows raise the
 partial box's lower bound, then eq rows and lt rows lower its upper bound,
@@ -289,12 +291,12 @@ def _frontier(state: ReductionState, levels: list, picks: list | None = None) ->
     box stays nonempty iff the chosen vector lies on the right side of the
     bound it does not move.  Without ``picks`` a key is a code and a state a
     whole box; with the per-coordinate ``(shift, side, table)`` picks each
-    coordinate's term times R joins the key once no later level moves it."""
+    coordinate's term times R joins the key once no later level moves it.
+    The root box is the ranked bounds, which ``gate_feasibility`` has already
+    found uncrossed, so it is nonempty and not checked again here."""
     lanes = state.lanes
     le, lane_max, lane_min, lane = lanes.le, lanes.max, lanes.min, lanes.lane
     lower, upper = lanes.pack(state.lower), lanes.pack(state.upper)
-    if not le(lower, upper):
-        return {}
     coded, radix = [], 1  # option k of level p adds k * w_p to the code
     for raises_lower, options in reversed(levels):
         coded.insert(0, (raises_lower, [(k * radix, vec) for k, (_, vec) in enumerate(options)]))

@@ -15,7 +15,7 @@ import json
 import os
 from typing import NamedTuple
 
-from .exact import ONE, ZERO, Vec, quoted
+from .exact import ONE, ZERO, Vec, _read_text, quoted
 from .extremals import classify_rows
 from .model import Instance
 from .solver import Solution, solve
@@ -31,8 +31,8 @@ class Graph(NamedTuple):
 
 
 def make_graph(n: int, edges) -> Graph:
-    if n < 1:
-        raise GraphError(f"vertex count must be positive, got {quoted(n)}")
+    if type(n) is not int or n < 1:  # no bool, no float
+        raise GraphError(f"vertex count must be a positive int, got {quoted(n)}")
     normalized = set()
     for u, v in edges:
         if type(u) is not int or type(v) is not int:  # no bool, no float
@@ -122,20 +122,14 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(source) -> Graph:
-    """Load a graph from a Graph, inline content, or a file path.  Text that
-    names an existing file is read from it.  Other text is inline when it
-    spans lines, is a JSON object or starts with an edge list's problem line
+    """Load a graph from inline content or a file path.  Text that names an
+    existing file is read from it.  Other text is inline when it spans
+    lines, is a JSON object or starts with an edge list's problem line
     ('p <n> <m>'), and names a file otherwise."""
-    if isinstance(source, Graph):
-        return source
     text = str(source)
     inline = "\n" in text or text.lstrip().startswith(("{", "p ", "p\t"))
     if os.path.isfile(text) or not inline:
-        try:
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise GraphError(f"cannot read graph file: {exc}") from exc
+        text = _read_text(text, GraphError, "graph")
     return parse_graph(text)
 
 

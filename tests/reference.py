@@ -156,10 +156,13 @@ def extremal_solutions(inst, cls) -> Extremals:
 def aggregate_bounds(ext, cls) -> BoundVectors:
     zeros, ones = (ZERO,) * cls.n, (ONE,) * cls.n
     gt, eq = cls.diag_gt, cls.diag_eq
+    lower_gt = vec_max(zeros, *(ext.row_min[i] for i in gt)) if gt else zeros
+    lower_eq = vec_max(zeros, *(ext.row_min[i] for i in eq)) if eq else zeros
     return BoundVectors(
-        lower_gt=vec_max(zeros, *(ext.row_min[i] for i in gt)) if gt else zeros,
+        lower_gt=lower_gt,
         upper_gt=vec_min(ones, *(ext.row_max[i] for i in gt)) if gt else ones,
-        lower_eq=vec_max(zeros, *(ext.row_min[i] for i in eq)) if eq else zeros,
+        lower_eq=lower_eq,
+        lower=vec_max(lower_gt, lower_eq),
     )
 
 

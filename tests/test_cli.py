@@ -246,6 +246,20 @@ def test_oversized_input_is_an_input_error_echoed_short(capsys, tmp_path, comman
     assert err.startswith(start) and "..." in err and len(err) < 200
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("solve",), ("vc",), ("oracle",), ("gen", "random-graph", "--n", "3", "-o")],
+    ids=["solve", "vc", "oracle", "gen"],
+)
+def test_unusable_long_path_is_an_input_error_echoed_short(capsys, tmp_path, argv):
+    # each echoed the whole path once: 5,000 characters and more on stderr
+    path = str(tmp_path / ("x" * 5000 + "-missing"))
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot") and "-missing': " in err
+    assert len(err.encode()) < 200
+
+
 def test_oracle_subcommand(capsys, tmp_path, triangle_file, infeasible_file):
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps({"A": [["0.55"]], "b": ["0.55"], "c": ["1"], "sense": "min"}))
@@ -253,6 +267,8 @@ def test_oracle_subcommand(capsys, tmp_path, triangle_file, infeasible_file):
     assert code == 0 and json.loads(out)["objective"] == "0.55"
     code, out, _ = run_cli(capsys, "oracle", str(tiny), "--sample", "200", "--json")
     assert code == 0 and json.loads(out)["agreed"]
+    code, out, err = run_cli(capsys, "oracle", str(tiny), "--sample", "0")
+    assert code == 2 and out == "" and "--sample must be at least 1" in err
     code, out, _ = run_cli(capsys, "oracle", triangle_file, "--json")
     assert code == 0 and json.loads(out)["size"] == 2
     # one line, no trailing newline: the file's text, not a path

@@ -1,3 +1,5 @@
+import errno
+import os
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from maxminfre.exact import (
+    _file_message,
     decimal_places,
     decimal_str,
     display_round,
@@ -97,6 +100,23 @@ def test_sums_of_products_of_accepted_scalars_render(pairs):
     scalars can be written out as a decimal."""
     total = sum((parse_scalar(a) * parse_scalar(b) for a, b in pairs), Fraction(0))
     assert Fraction(decimal_str(total)) == total
+
+
+def test_file_message_keeps_the_end_of_a_long_path():
+    exc = OSError(errno.ENOENT, os.strerror(errno.ENOENT))
+    reason = os.strerror(errno.ENOENT)
+    whole = "dir/" + "x" * 92 + ".col"  # 100 characters: echoed whole
+    assert _file_message("read graph file", whole, exc) == (
+        f"cannot read graph file '{whole}': {reason}"
+    )
+    assert _file_message("read graph file", "y" + whole, exc) == (
+        f"cannot read graph file '...{whole[-97:]}': {reason}"
+    )
+    # a character is written as its ASCII escape before the cut, so no path,
+    # however long or however written, takes the message to 200 bytes
+    for path in ("x" * 100_000, "\u00e9" * 5000, "\udcff" * 5000, "\n" * 5000):
+        message = _file_message("write output file", path, exc)
+        assert message.isascii() and len(message) < 200
 
 
 def test_quoted_cuts_any_long_repr():

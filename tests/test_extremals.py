@@ -143,7 +143,7 @@ def test_cell_of_whole_cube_when_everything_empty():
     from maxminfre.extremals import BoundVectors
 
     cube = cell_of(
-        BoundVectors((ZERO, ZERO), (ONE, ONE), (ZERO, ZERO)),
+        BoundVectors((ZERO, ZERO), (ONE, ONE), (ZERO, ZERO), (ZERO, ZERO)),
         SelectorBounds((ONE, ONE), (ONE, ONE), (ZERO, ZERO)),
     )
     assert cube.lower == (ZERO, ZERO) and cube.upper == (ONE, ONE)

@@ -104,6 +104,15 @@ def test_load_rejects_bad_json(tmp_path):
         load_instance(path)
 
 
+def test_unreadable_long_path_is_named_by_its_end(tmp_path):
+    path = str(tmp_path / ("x" * 5000 + "-missing.json"))
+    with pytest.raises(InstanceError) as exc:
+        load_instance(path)
+    message = str(exc.value)
+    assert message.startswith("cannot read instance file '...")
+    assert "-missing.json': " in message and len(message) < 200
+
+
 def test_load_rejects_bad_sense():
     with pytest.raises(InstanceError, match="sense"):
         load_instance({"A": [["0.5"]], "b": ["0.5"], "c": ["1"], "sense": "best"})

@@ -34,7 +34,7 @@ def _assert_same_stages(inst):
     assert bounds == reference.aggregate_bounds(full, cls)
     assert all(
         type(v) is Fraction
-        for vec in (bounds.lower_gt, bounds.upper_gt, bounds.lower_eq)
+        for vec in (bounds.lower_gt, bounds.upper_gt, bounds.lower_eq, bounds.lower)
         for v in vec
     )
     assert gate_feasibility(inst, cls, bounds) == reference.gate_feasibility(inst, cls, bounds)

@@ -9,6 +9,7 @@ import copy
 import pytest
 
 from maxminfre import (
+    aggregate_bounds,
     check_membership,
     classify_rows,
     extremal_solutions,
@@ -41,6 +42,7 @@ FIELDS = {
         "diag_lt",
         "empty_support",
     ),
+    "BoundVectors": ("lower_gt", "upper_gt", "lower_eq", "lower"),
     "Cell": ("lower", "upper"),
     "Graph": ("n", "edges"),
     "GridResult": ("feasible", "objective", "x", "points"),
@@ -76,6 +78,7 @@ def _records() -> dict:
         membership,
         classify_rows(inst),
         extremal_solutions(inst, classify_rows(inst)),
+        aggregate_bounds(inst, classify_rows(inst)),
         feasible_region(inst)[0],
         grid_optimum(inst),
         agreement.disagreements[0],

@@ -10,7 +10,7 @@ from maxminfre import (
     extremal_solutions,
     load_instance,
 )
-from maxminfre.extremals import BoundVectors
+from maxminfre.extremals import BoundVectors, vec_max
 from maxminfre.reduction import (
     CAUSE_ANCHORS,
     CAUSE_EQ_VARIANTS,
@@ -154,7 +154,10 @@ def test_variant_exhaustion_verdicts_with_synthetic_bounds():
     )
     cls, _, _ = _pipeline(inst)
     fake = BoundVectors(
-        lower_gt=fracs("0.9", "0.9"), upper_gt=fracs(1, 1), lower_eq=fracs(0, 0)
+        lower_gt=fracs("0.9", "0.9"),
+        upper_gt=fracs(1, 1),
+        lower_eq=fracs(0, 0),
+        lower=fracs("0.9", "0.9"),
     )
     state = apply_bound_rules(initial_state(inst, cls, fake))
     assert state.infeasible is not None and state.infeasible.cause == CAUSE_EQ_VARIANTS
@@ -172,7 +175,9 @@ def test_table_holds_caller_made_bounds():
     # a bound component off the instance grid is still ranked, not rejected
     inst = load_instance({"A": [["0.9"]], "b": ["0.5"], "c": ["1"]})
     cls, _, _ = _pipeline(inst)
-    fake = BoundVectors(lower_gt=fracs("0.5"), upper_gt=fracs("0.5"), lower_eq=fracs("0.8"))
+    fake = BoundVectors(
+        lower_gt=fracs("0.5"), upper_gt=fracs("0.5"), lower_eq=fracs("0.8"), lower=fracs("0.8")
+    )
     state = initial_state(inst, cls, fake)
     assert state.lanes.grid == fracs(0, "0.5", "0.8", 1)
     assert (state.lower, state.upper) == ((2,), (1,))
@@ -186,7 +191,8 @@ def instance_with_synthetic_bounds(draw):
     inst = draw(instances(max_n=5))
     component = st.sampled_from(sorted({*inst.b, *fracs(0, 1, "0.05", "0.95", "0.333")}))
     vec = st.lists(component, min_size=inst.n, max_size=inst.n).map(tuple)
-    return inst, BoundVectors(lower_gt=draw(vec), upper_gt=draw(vec), lower_eq=draw(vec))
+    lower_gt, upper_gt, lower_eq = draw(vec), draw(vec), draw(vec)
+    return inst, BoundVectors(lower_gt, upper_gt, lower_eq, vec_max(lower_gt, lower_eq))
 
 
 @settings(max_examples=300)

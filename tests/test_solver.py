@@ -83,21 +83,45 @@ def test_gate_detects_synthetic_crossing():
     # so a crossing cannot arise from aggregate_bounds; feed one directly
     inst = load_instance({"A": [["0.9"]], "b": ["0.5"], "c": ["1"]})
     cls, _, _ = _prep(inst)
-    fake = BoundVectors(lower_gt=(frac("0.5"),), upper_gt=(frac("0.5"),), lower_eq=(frac("0.8"),))
+    fake = BoundVectors(
+        lower_gt=(frac("0.5"),),
+        upper_gt=(frac("0.5"),),
+        lower_eq=(frac("0.8"),),
+        lower=(frac("0.8"),),
+    )
     verdict = gate_feasibility(inst, cls, fake)
     assert verdict is not None and verdict.cause == CAUSE_BOUND_CROSSING
     assert verdict.rows == (1,)
 
 
 def test_unvalidated_instance_reaches_bound_crossing():
-    # an Instance built directly skips the loader's [0, 1] check, so b = 2 puts
-    # the combined lower bound above the all-ones diag_gt upper bound
-    inst = Instance(n=1, A=((2,),), b=(2,), c=(1,), sense="min")
-    crossing = (CAUSE_BOUND_CROSSING, (1,))
-    sol = solve(inst)
-    assert not sol.optimal and (sol.cause.cause, sol.cause.rows) == crossing
-    cells, cause = solver.resolve_region(inst)
-    assert cells == [] and (cause.cause, cause.rows) == crossing
+    # an Instance built directly skips the loader's [0, 1] check; the combined
+    # lower bound is max(b_i, 0), so a target above 1 or a negative diag_gt
+    # target crosses
+    cases = [
+        # b = 2 puts the combined lower bound above the all-ones upper bound
+        (Instance(n=1, A=((2,),), b=(2,), c=(1,), sense="min"), (1,)),
+        # a negative diag_gt target is its own upper bound, below the lower bound 0
+        (Instance(1, ((Fraction(1),),), (Fraction(-1, 2),), (Fraction(1),), "min"), (1,)),
+        # a negative diag_eq target (row 1) leaves the lower bound at 0 and does
+        # not cross; the negative diag_gt target of row 2 does
+        (
+            Instance(
+                2,
+                ((Fraction(-1, 2), ZERO), (ZERO, ONE)),
+                (Fraction(-1, 2), Fraction(-1, 4)),
+                (ONE, ONE),
+                "min",
+            ),
+            (2,),
+        ),
+    ]
+    for inst, rows in cases:
+        crossing = (CAUSE_BOUND_CROSSING, rows)
+        sol = solve(inst)
+        assert not sol.optimal and (sol.cause.cause, sol.cause.rows) == crossing
+        cells, cause = solver.resolve_region(inst)
+        assert cells == [] and (cause.cause, cause.rows) == crossing
 
 
 def test_demo_enumeration_counts(demo10):

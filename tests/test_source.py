@@ -26,8 +26,8 @@ def test_no_assert_and_no_import_from_tests(path):
 
 
 # Creating a dataclass costs about 1 ms at import, so a plain-data record is a
-# NamedTuple; each of these three says at its definition why it cannot be one.
-DATACLASSES = {"BoundVectors", "ReductionState", "Statistics"}
+# NamedTuple; each of these two says at its definition why it cannot be one.
+DATACLASSES = {"ReductionState", "Statistics"}
 
 
 def _is_dataclass_decorator(node) -> bool:
@@ -47,4 +47,4 @@ def test_dataclasses_only_where_a_namedtuple_cannot_serve():
             if isinstance(node, ast.ClassDef)
             and any(map(_is_dataclass_decorator, node.decorator_list))
         ]
-    assert sorted(found) == sorted(DATACLASSES), "@dataclass not on exactly the three classes"
+    assert sorted(found) == sorted(DATACLASSES), "@dataclass not on exactly the two classes"

@@ -97,6 +97,22 @@ def test_make_graph_rejects_a_vertex_id_that_is_not_an_int(vertex):
         make_graph(3, [(vertex, 2)])
 
 
+@pytest.mark.parametrize("n", [3.0, True, "3", 0])
+def test_make_graph_rejects_a_vertex_count_that_is_not_a_positive_int(n):
+    message = f"vertex count must be a positive int, got {n!r}"
+    with pytest.raises(GraphError, match=re.escape(message) + "$"):
+        make_graph(n, [])
+
+
+def test_unreadable_long_path_is_named_by_its_end(tmp_path):
+    path = str(tmp_path / ("x" * 5000 + "-missing.col"))
+    with pytest.raises(GraphError) as exc:
+        load_graph(path)
+    message = str(exc.value)
+    assert message.startswith("cannot read graph file '...")
+    assert "-missing.col': " in message and len(message) < 200
+
+
 def test_load_graph_reads_one_line_edge_list_inline(tmp_path, monkeypatch):
     assert load_graph("p 1 0") == load_graph("p 1 0\n") == make_graph(1, [])
     assert load_graph("p edge 2 0") == make_graph(2, [])
