@@ -99,14 +99,16 @@ def quoted(value) -> str:
     return shown if len(shown) <= 40 else shown[:37] + "..."
 
 
-def _file_message(doing: str, path: str, exc: OSError) -> str:
-    """"cannot <doing> '<path>': <the system's reason>", under 200 bytes: the
-    path is written with ASCII escapes and, past 100 characters, cut to "..."
-    and its last 97, where the file name is."""
+def _file_message(doing: str, path: str, exc: OSError | ValueError) -> str:
+    """"cannot <doing> '<path>': <reason>", under 200 bytes: the reason is
+    the system's for an ``OSError`` and ``open``'s own ("embedded null byte")
+    for a ``ValueError``; the path is written with ASCII escapes and, past
+    100 characters, cut to "..." and its last 97, where the file name is."""
     shown = ascii(path)[1:-1]
     if len(shown) > 100:
         shown = "..." + shown[-97:]
-    return f"cannot {doing} '{shown}': {exc.strerror}"
+    reason = exc.strerror if isinstance(exc, OSError) else exc
+    return f"cannot {doing} '{shown}': {reason}"
 
 
 def _read_text(path: str, error: type[ValueError], what: str) -> str:
@@ -115,7 +117,7 @@ def _read_text(path: str, error: type[ValueError], what: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise error(_file_message(f"read {what} file", path, exc)) from exc
 
 

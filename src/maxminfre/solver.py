@@ -48,11 +48,18 @@ exact:
   smaller triple.  A code is below R, so the smaller key has the smaller
   score and, among equal scores, the smaller code.
 
-Neither fact depends on the walk order, so ``_walk_order`` walks the anchor
-levels last, under an upper bound that has already fallen and cuts them
-early.  After the last level every coordinate is masked and at most one
-state is left: its count is the admissible count, and its key divmod R gives
-the optimum and the code of the lex-smallest optimal triple.
+Neither fact depends on the walk order, so ``_walk_order`` chooses it for
+speed alone.  A table with a raising level walks its anchor levels last,
+under an upper bound that has already fallen and cuts them early.  A table
+of lowering levels only, such as a vertex cover's, is walked by live
+coordinates, those moved both by a walked level and by a level still to
+walk: the others are masked or still at the root box, so the states differ
+only on the live lanes, and each step takes the level that leaves the fewest
+live.  That greedy is a heuristic for vertex separation, which equals
+pathwidth (Kinnersley, IPL 42, 1992).  After the last level every coordinate
+is masked and at most one state is left: its count is the admissible count,
+and its key divmod R gives the optimum and the code of the lex-smallest
+optimal triple.
 
 The merged walk runs on the ranks of the solve's one grid, not on
 ``Fraction``s: ``reduction.initial_state`` builds one ``extremals.Lanes`` from
@@ -244,14 +251,27 @@ def enumerate_admissible(
                 stack.append((box, chosen + (value,)))
 
 
-def _projection(lanes: Lanes, levels: list, picks: list) -> list:
-    """(keep, dropped) after each level: ``keep`` masks the lanes that some
-    later level can still move, ``dropped`` lists the picks of the
-    coordinates that no later level moves, each coordinate once (those that
-    no level moves go with the first level).  An option moves exactly the
-    lanes where it differs from its level's no-op: rank 0 when it raises,
-    the top rank when it lowers."""
+def _moved_lanes(lanes: Lanes, levels: list) -> list[int]:
+    """Per level, the mask of the lanes that some option moves: those where
+    it differs from its level's no-op, rank 0 when it raises, the top rank
+    when it lowers."""
     ones = lanes.top * lanes.unit
+    masks = []
+    for raises_lower, options in levels:
+        noop = 0 if raises_lower else ones
+        moved = 0
+        for _, vec in options:
+            moved |= lanes.ge_mask(vec ^ noop, lanes.unit)
+        masks.append(moved)
+    return masks
+
+
+def _projection(lanes: Lanes, moved: list[int], picks: list) -> list:
+    """(keep, dropped) after each level, given the levels' ``_moved_lanes``
+    masks in walk order: ``keep`` masks the lanes that some later level can
+    still move, ``dropped`` lists the picks of the coordinates that no later
+    level moves, each coordinate once (those that no level moves go with the
+    first level)."""
     everything = lanes.lane * lanes.unit
     step = lanes.w + 1
 
@@ -264,25 +284,43 @@ def _projection(lanes: Lanes, levels: list, picks: list) -> list:
         return out
 
     later, steps = 0, []
-    for raises_lower, options in levels[:0:-1]:  # every level but the first, last first
-        noop = 0 if raises_lower else ones
-        moved = 0
-        for _, vec in options:
-            moved |= lanes.ge_mask(vec ^ noop, lanes.unit)
-        steps.append((later, dropped(moved & ~later)))
-        later |= moved
-    if levels:
+    for mask in moved[:0:-1]:  # every level but the first, last first
+        steps.append((later, dropped(mask & ~later)))
+        later |= mask
+    if moved:
         steps.append((later, dropped(everything & ~later)))
     return steps[::-1]
 
 
-def _walk_order(levels: list) -> list[int]:
-    """The levels' indices in walk order: the lowering levels (eq rows, then
-    lt rows), then the raising anchor levels, fewest options first, ties in
-    table order."""
-    lowering = [p for p, (raises_lower, _) in enumerate(levels) if not raises_lower]
+def _walk_order(levels: list, moved: list[int]) -> list[int]:
+    """The levels' indices in walk order, given their ``_moved_lanes`` masks.
+
+    A table with a raising level walks the lowering levels (eq rows, then lt
+    rows), then the raising anchor levels, fewest options first, ties in
+    table order.  A lowering-only table is walked by live coordinates, those
+    moved both by a walked level and by a level still to walk: each step
+    takes the level that leaves the fewest live, ties in table order, a
+    greedy heuristic for vertex separation, which equals pathwidth
+    (Kinnersley, IPL 42, 1992).  With ``once`` and ``more`` the lanes that
+    the unwalked levels move exactly once and more than once, taking a level
+    of mask m opens the unwalked lanes of m in ``more`` and closes the walked
+    lanes of m in ``once``."""
     raising = [p for p, (raises_lower, _) in enumerate(levels) if raises_lower]
-    return lowering + sorted(raising, key=lambda p: len(levels[p][1]))
+    if raising:
+        lowering = [p for p, (raises_lower, _) in enumerate(levels) if not raises_lower]
+        return lowering + sorted(raising, key=lambda p: len(levels[p][1]))
+    order, rest, walked = [], list(enumerate(moved)), 0
+    while rest:
+        once = more = 0
+        for _, mask in rest:
+            more |= once & mask
+            once |= mask
+        opening, closing = more & ~walked, once & ~more & walked
+        costs = [(mask & opening).bit_count() - (mask & closing).bit_count() for _, mask in rest]
+        p, mask = rest.pop(costs.index(min(costs)))
+        order.append(p)
+        walked |= mask
+    return order
 
 
 def _frontier(state: ReductionState, levels: list, picks: list | None = None) -> dict:
@@ -301,12 +339,14 @@ def _frontier(state: ReductionState, levels: list, picks: list | None = None) ->
     for raises_lower, options in reversed(levels):
         coded.insert(0, (raises_lower, [(k * radix, vec) for k, (_, vec) in enumerate(options)]))
         radix *= len(options)
-    walked = [coded[p] for p in _walk_order(levels)]
+    moved = _moved_lanes(lanes, levels)
+    order = _walk_order(levels, moved)
+    walked = [coded[p] for p in order]
     if picks is None:
         steps = [(-1, ())] * len(levels)
     else:
         picks = [(shift, side, [term * radix for term in table]) for shift, side, table in picks]
-        steps = _projection(lanes, walked, picks)
+        steps = _projection(lanes, [moved[p] for p in order], picks)
     frontier = {(lower, upper): [1, 0]}
     for (raises_lower, options), (keep, dropped) in zip(walked, steps):
         merged: dict = {}
@@ -399,12 +439,17 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
     if not frontier:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
     ((_, key),) = frontier.values()  # every coordinate is masked
-    code, chosen = key % math.prod(len(options) for _, options in levels), []
-    for raises_lower, options in reversed(levels):
+    code = key % math.prod(len(options) for _, options in levels)
+    lower, upper, values = lanes.pack(state.lower), lanes.pack(state.upper), []
+    for raises_lower, options in reversed(levels):  # the winning triple's box
         code, k = divmod(code, len(options))
-        chosen.insert(0, (raises_lower, options[k:k + 1]))
-    ((lower, upper),) = _frontier(state, chosen)  # the winning triple's box
-    triple = _triple(state, tuple(options[0][0] for _, options in chosen))
+        value, vec = options[k]
+        values.insert(0, value)
+        if raises_lower:
+            lower = lanes.max(lower, vec)
+        else:
+            upper = lanes.min(upper, vec)
+    triple = _triple(state, tuple(values))
     best = make_candidate(triple, lanes.decode(lower, upper), inst.c, inst.sense)
     return Solution("optimal", best, None, stats)
 

@@ -3,6 +3,7 @@ solution data, plus hypothesis strategies over two-decimal-grid instances."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,14 @@ settings.register_profile(
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def timed(budget, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, failing when it takes ``budget`` seconds or more."""
+    started = time.perf_counter()
+    result = call(*args, **kwargs)
+    assert time.perf_counter() - started < budget, call.__name__
+    return result
 
 
 def frac(text) -> Fraction:

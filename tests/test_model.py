@@ -113,6 +113,16 @@ def test_unreadable_long_path_is_named_by_its_end(tmp_path):
     assert "-missing.json': " in message and len(message) < 200
 
 
+def test_path_holding_a_nul_is_an_instance_error():
+    with pytest.raises(InstanceError) as exc:
+        load_instance("a\0b" + "x" * 5000)
+    message = str(exc.value)
+    assert message.startswith("cannot read instance file '")
+    assert message.endswith("x': embedded null byte") and len(message.encode()) < 200
+    with pytest.raises(InstanceError, match=re.escape("file 'a\\x00b': embedded null byte")):
+        load_instance("a\0b")
+
+
 def test_load_rejects_bad_sense():
     with pytest.raises(InstanceError, match="sense"):
         load_instance({"A": [["0.5"]], "b": ["0.5"], "c": ["1"], "sense": "best"})

@@ -1,5 +1,4 @@
 import itertools
-import time
 from fractions import Fraction
 from unittest import mock
 
@@ -49,6 +48,7 @@ from .conftest import (
     fracs,
     graphs,
     instances,
+    timed,
 )
 from .reference import cell_of, dominates, is_empty, selector_bounds, specialized_cover
 
@@ -522,13 +522,6 @@ PATHOLOGY_1 = [
 ]
 
 
-def _timed(budget, call, *args, **kwargs):
-    started = time.perf_counter()
-    result = call(*args, **kwargs)
-    assert time.perf_counter() - started < budget, call.__name__
-    return result
-
-
 @pytest.mark.parametrize(
     "n,seed,verdict,admissible,boxes,anchors,eqs,twos",
     PATHOLOGY_1,
@@ -540,11 +533,11 @@ def test_anchor_heavy_instances_finish_fast(
     """Many diag_lt rows with wide anchor domains: anchors walked last are cut
     by an upper bound the lowering levels have already brought down."""
     inst = load_instance(random_fre_doc(n, 0.3, seed, b_cap=0.5))
-    sol = _timed(1.0, solve, inst)
+    sol = timed(1.0, solve, inst)
     assert (sol.status if sol.optimal else sol.cause.cause) == verdict
     assert sol.statistics.admissible == admissible
-    region = _timed(1.0, feasible_region, inst)
-    assert (len(region), len(_timed(1.0, feasible_region, inst, dedup=False))) == boxes
+    region = timed(1.0, feasible_region, inst)
+    assert (len(region), len(timed(1.0, feasible_region, inst, dedup=False))) == boxes
     if anchors is None:
         return
     anchors = tuple(map(int, anchors.split()))
@@ -567,7 +560,7 @@ def _results(inst):
 def _permuted_results(inst, rng):
     """``_results`` with every walk in a permutation drawn from ``rng``."""
 
-    def drawn(levels):
+    def drawn(levels, moved):
         return rng.sample(range(len(levels)), len(levels))
 
     with mock.patch.object(solver, "_walk_order", drawn):
@@ -589,3 +582,44 @@ def test_walk_order_does_not_change_cover_results(g, costs, sense, rng):
     A = graph_to_instance(g).A
     inst = Instance(g.n, A, (ZERO,) * g.n, tuple(costs[: g.n]), sense)
     assert _permuted_results(inst, rng) == _results(inst)
+
+
+def test_lowering_only_table_is_walked_by_fewest_live_lanes():
+    """The path 1-3-4-2: level i moves lanes N[i] = {1, 3}, {2, 4}, {1, 3, 4},
+    {2, 3, 4}.  First every lane is moved twice or more, so a level opens its
+    whole mask: 1 and 2 tie at two lanes and table position takes 1.  Then
+    3 opens lane 4 and closes lane 1 (0), against 2 (2) and 4 (2).  Then 4
+    opens lane 2 and closes lane 3 (0), against 2 (1).  Two levels in, this
+    order keeps lanes 3 and 4 live, the input order 1, 2, 3, 4 all four."""
+    g = make_graph(4, [(1, 3), (3, 4), (4, 2)])
+    state, _ = solver._prepare(graph_to_instance(g), use_rules=True)
+    levels = solver._packed_levels(state)
+    moved = solver._moved_lanes(state.lanes, levels)
+    assert state.eq_rows == (1, 2, 3, 4) and not state.lt_rows
+    assert [state.lanes.unpack(mask) for mask in moved] == [
+        (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1)
+    ]
+    assert solver._walk_order(levels, moved) == [0, 2, 3, 1]
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n, seed, *_ in PATHOLOGY_1])
+def test_a_raising_level_keeps_the_table_order(n, seed):
+    """With any raising level the lowering levels go first in table order,
+    then the anchors by option count, whatever the lanes they move."""
+    state, _ = solver._prepare(load_instance(random_fre_doc(n, 0.3, seed, b_cap=0.5)), False)
+    levels = solver._packed_levels(state)
+    lowering = [p for p, (raises, _) in enumerate(levels) if not raises]
+    raising = sorted(
+        (p for p, (raises, _) in enumerate(levels) if raises), key=lambda p: len(levels[p][1])
+    )
+    assert raising
+    for moved in (solver._moved_lanes(state.lanes, levels), [0] * len(levels)):
+        assert solver._walk_order(levels, moved) == lowering + raising
+
+
+def test_a_raising_level_keeps_the_order_the_masks_would_change():
+    """Masks under which the greedy walks 1, 0, 2 leave a table whose last
+    level raises in table order."""
+    moved, lowers, raises = [0b111, 0b100, 0b011], (False, ((1, 0),)), (True, ((1, 0),))
+    assert solver._walk_order([lowers, lowers, lowers], moved) == [1, 0, 2]
+    assert solver._walk_order([lowers, lowers, raises], moved) == [0, 1, 2]

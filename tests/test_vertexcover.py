@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from maxminfre.generate import random_graph_edges
 from maxminfre.oracle import brute_force_cover
 from maxminfre.vertexcover import GraphError, graph_to_doc, parse_graph
 
-from .conftest import fracs, graphs, json_values
+from .conftest import fracs, graphs, json_values, timed
 from .reference import selector_bounds, specialized_cover
 
 TRIANGLE = make_graph(3, [(1, 2), (2, 3), (1, 3)])
@@ -111,6 +112,16 @@ def test_unreadable_long_path_is_named_by_its_end(tmp_path):
     message = str(exc.value)
     assert message.startswith("cannot read graph file '...")
     assert "-missing.col': " in message and len(message) < 200
+
+
+def test_path_holding_a_nul_is_a_graph_error():
+    with pytest.raises(GraphError) as exc:
+        load_graph("a\0b" + "x" * 5000)
+    message = str(exc.value)
+    assert message.startswith("cannot read graph file '")
+    assert message.endswith("x': embedded null byte") and len(message.encode()) < 200
+    with pytest.raises(GraphError, match=re.escape("file 'a\\x00b': embedded null byte")):
+        load_graph("a\0b")
 
 
 def test_load_graph_reads_one_line_edge_list_inline(tmp_path, monkeypatch):
@@ -261,11 +272,19 @@ def _grid(rows, cols):
     return make_graph(n, across + [(v, v + cols) for v in range(1, n - cols + 1)])
 
 
+def _relabeled(g, seed):
+    """``g`` with its vertices renumbered by a seeded shuffle."""
+    perm = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(perm)
+    return make_graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
 # Sparse covers, whose full-box frontiers used to blow up (P24 took 2 s, the
 # 5x6 grid 13 s, random_graph_edges(28, 0.1, 1) 46 s).  Masking finished
-# coordinates keeps the frontier to the live ones: a few states for a path,
-# about 2^cols for a row-major grid.  Every one of the 2^n triples is
-# admissible.
+# coordinates keeps the frontier to the live ones, and the min-live level
+# order keeps those few whatever the numbering: random_graph_edges(40, 0.1, 1)
+# took 9.5 s in input order, the relabeled path and grid over 10 s.  Every
+# one of the 2^n triples is admissible.
 SPARSE20 = make_graph(20, random_graph_edges(20, 0.1, 1))
 
 
@@ -279,11 +298,17 @@ SPARSE20 = make_graph(20, random_graph_edges(20, 0.1, 1))
         (_grid(10, 6), 30),
         (make_graph(28, random_graph_edges(28, 0.1, 1)), 14),
         (make_graph(64, []), 0),
+        (make_graph(40, random_graph_edges(40, 0.1, 1)), 20),
+        (_relabeled(_path(60), 1), 30),
+        (_relabeled(_grid(10, 6), 1), 30),
     ],
-    ids=["path20", "grid4x5", "sparse20", "path64", "grid10x6", "sparse28", "edgeless64"],
+    ids=[
+        "path20", "grid4x5", "sparse20", "path64", "grid10x6", "sparse28", "edgeless64",
+        "sparse40", "path60-shuffled", "grid10x6-shuffled",
+    ],
 )
 def test_sparse_cover_pins(g, size):
-    result = solve_cover(g)
+    result = timed(1.0, solve_cover, g)
     assert result.size == size
     assert result.solution.statistics.admissible == 2**g.n
     assert verify_structure(result, g).ok
