@@ -105,7 +105,7 @@ class ReductionState:
     def snapshot(self, stage: str) -> None:
         self.snapshots.append((stage, *self.cardinalities()))
 
-    def _prune(self, rule: int, dom: dict, hits) -> None:
+    def _prune(self, rule: int, dom: dict, hits: list) -> None:
         """Trace every (row, removed value, witness) hit of one rule in
         order, rebuild each hit row's domain tuple once, then snapshot the
         domains as stage ``rule{k}``.
@@ -114,6 +114,9 @@ class ReductionState:
         check of a rule reads a domain value that the same rule removes,
         except the one check that removes it.
         """
+        if not hits:  # no domain changed: the previous cardinalities stand
+            self.snapshots.append((f"rule{rule}", *self.snapshots[-1][1:]))
+            return
         removed: dict[int, set[int]] = {}
         for row, value, witness in hits:
             removed.setdefault(row, set()).add(value)

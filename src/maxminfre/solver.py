@@ -32,10 +32,10 @@ gives stream order.
 ``solve`` runs the same walk on projected states.  The objective is a sum of
 one term per coordinate.  After the last walked level that can move
 coordinate j (a raising level with some value of rank > 0 at j, a lowering
-level with some value below the top rank there; the first level if none
-can), j's bounds are final and already checked, and they fix j's term.  The
-walk adds that term times R to the state's key, so a key is score * R + code,
-and masks j's lanes to zero in both halves of the box.  Two facts keep this
+level with some value below the top rank there; the root if none can), j's
+bounds are final and already checked, and they fix j's term.  The walk adds
+that term times R to the state's key, so a key is score * R + code, and
+masks j's lanes to zero in both halves of the box.  Two facts keep this
 exact:
 
 * Masked lanes are no-ops for later cuts.  Every later value holds rank 0
@@ -56,10 +56,18 @@ coordinates, those moved both by a walked level and by a level still to
 walk: the others are masked or still at the root box, so the states differ
 only on the live lanes, and each step takes the level that leaves the fewest
 live.  That greedy is a heuristic for vertex separation, which equals
-pathwidth (Kinnersley, IPL 42, 1992).  After the last level every coordinate
-is masked and at most one state is left: its count is the admissible count,
-and its key divmod R gives the optimum and the code of the lex-smallest
-optimal triple.
+pathwidth (Kinnersley, IPL 42, 1992).
+
+The walk has two phases, split at the first raising level in any walk
+order.  Only raising levels move the lower bound, so before the split every
+state holds the root's: states are keyed on the upper bound alone, and each
+lowering option is cut once, against the root.  After it, on the whole box.
+
+After the last level every coordinate is masked and at most one state is
+left: its count is the admissible count, and its key divmod R gives the
+score, the optimum in integer units, and the code of the lex-smallest
+optimal triple, whose digits rebuild the winning box.  ``make_candidate``,
+which sums a box's objective in ``Fraction``s, is only the reference.
 
 The merged walk runs on the ranks of the solve's one grid, not on
 ``Fraction``s: ``reduction.initial_state`` builds one ``extremals.Lanes`` from
@@ -267,11 +275,11 @@ def _moved_lanes(lanes: Lanes, levels: list) -> list[int]:
 
 
 def _projection(lanes: Lanes, moved: list[int], picks: list) -> list:
-    """(keep, dropped) after each level, given the levels' ``_moved_lanes``
-    masks in walk order: ``keep`` masks the lanes that some later level can
-    still move, ``dropped`` lists the picks of the coordinates that no later
-    level moves, each coordinate once (those that no level moves go with the
-    first level)."""
+    """(keep, dropped) at the root and after each level, given the levels'
+    ``_moved_lanes`` masks in walk order: ``keep`` masks the lanes that some
+    later level can still move, ``dropped`` lists the picks of the
+    coordinates that no later level moves, each coordinate once (those that
+    no level moves go with the root)."""
     everything = lanes.lane * lanes.unit
     step = lanes.w + 1
 
@@ -284,11 +292,10 @@ def _projection(lanes: Lanes, moved: list[int], picks: list) -> list:
         return out
 
     later, steps = 0, []
-    for mask in moved[:0:-1]:  # every level but the first, last first
+    for mask in reversed(moved):
         steps.append((later, dropped(mask & ~later)))
         later |= mask
-    if moved:
-        steps.append((later, dropped(everything & ~later)))
+    steps.append((later, dropped(everything & ~later)))
     return steps[::-1]
 
 
@@ -325,15 +332,18 @@ def _walk_order(levels: list, moved: list[int]) -> list[int]:
 
 def _frontier(state: ReductionState, levels: list, picks: list | None = None) -> dict:
     """Packed (lower, upper) -> [multiplicity, smallest key] for every
-    distinct nonempty state after the levels, walked in ``_walk_order``; the
-    box stays nonempty iff the chosen vector lies on the right side of the
-    bound it does not move.  Without ``picks`` a key is a code and a state a
-    whole box; with the per-coordinate ``(shift, side, table)`` picks each
-    coordinate's term times R joins the key once no later level moves it.
-    The root box is the ranked bounds, which ``gate_feasibility`` has already
-    found uncrossed, so it is nonempty and not checked again here."""
+    distinct nonempty state after the levels, walked in ``_walk_order`` in
+    the two phases of the module docstring; the box stays nonempty iff the
+    chosen vector lies on the right side of the bound it does not move.
+    Without ``picks`` a key is a code and a state a whole box; with the
+    per-coordinate ``(shift, side, table)`` picks each coordinate's term
+    times R joins the key once no later level moves it, at the root for the
+    coordinates that no level moves.  The root box is the ranked bounds,
+    which ``gate_feasibility`` has already found uncrossed, so it is
+    nonempty and not checked again here.  The per-pair loops write the
+    ``Lanes`` operations out, which saves a method call per pair."""
     lanes = state.lanes
-    le, lane_max, lane_min, lane = lanes.le, lanes.max, lanes.min, lanes.lane
+    guards, w, lane = lanes.guards, lanes.w, lanes.lane
     lower, upper = lanes.pack(state.lower), lanes.pack(state.upper)
     coded, radix = [], 1  # option k of level p adds k * w_p to the code
     for raises_lower, options in reversed(levels):
@@ -343,23 +353,53 @@ def _frontier(state: ReductionState, levels: list, picks: list | None = None) ->
     order = _walk_order(levels, moved)
     walked = [coded[p] for p in order]
     if picks is None:
-        steps = [(-1, ())] * len(levels)
+        steps = [(-1, ())] * (len(levels) + 1)
     else:
         picks = [(shift, side, [term * radix for term in table]) for shift, side, table in picks]
         steps = _projection(lanes, [moved[p] for p in order], picks)
-    frontier = {(lower, upper): [1, 0]}
-    for (raises_lower, options), (keep, dropped) in zip(walked, steps):
+    (keep, dropped), *steps = steps
+    key = sum(table[((upper if side else lower) >> shift) & lane] for shift, side, table in dropped)
+    lower, frontier = lower & keep, {upper & keep: [1, key]}
+    split = next((k for k, (raises_lower, _) in enumerate(walked) if raises_lower), len(walked))
+    for (_, options), (keep, dropped) in zip(walked[:split], steps):
+        # every state shares ``lower``: its cut and its dropped terms go once per option
+        charged = sum(table[(lower >> shift) & lane] for shift, side, table in dropped if not side)
+        live = [(term + charged, vec) for term, vec in options if lanes.le(lower, vec)]
+        uppers = [(shift, table) for shift, side, table in dropped if side]
         merged: dict = {}
+        for upper, (count, key) in frontier.items():
+            guarded = upper | guards
+            for term, vec in live:
+                ge = (((guarded - vec) & guards) >> w) * lane
+                up = (vec & ge) | (upper & ~ge)
+                total = key + term
+                for shift, table in uppers:
+                    total += table[(up >> shift) & lane]
+                up &= keep
+                entry = merged.get(up)
+                if entry is None:
+                    merged[up] = [count, total]
+                else:
+                    entry[0] += count
+                    if total < entry[1]:
+                        entry[1] = total
+        frontier, lower = merged, lower & keep
+    frontier = {(lower, upper): entry for upper, entry in frontier.items()}
+    for (raises_lower, options), (keep, dropped) in zip(walked[split:], steps[split:]):
+        merged = {}
         for (lower, upper), (count, key) in frontier.items():
+            guarded_lower, guarded_upper = lower | guards, upper | guards
             for term, vec in options:
                 if raises_lower:
-                    if not le(vec, upper):
+                    if (guarded_upper - vec) & guards != guards:
                         continue
-                    lo, up = lane_max(lower, vec), upper
+                    ge = (((guarded_lower - vec) & guards) >> w) * lane
+                    lo, up = (lower & ge) | (vec & ~ge), upper
                 else:
-                    if not le(lower, vec):
+                    if ((vec | guards) - lower) & guards != guards:
                         continue
-                    lo, up = lower, lane_min(upper, vec)
+                    ge = (((guarded_upper - vec) & guards) >> w) * lane
+                    lo, up = lower, (vec & ge) | (upper & ~ge)
                 total = key + term
                 for shift, side, table in dropped:
                     total += table[((up if side else lo) >> shift) & lane]
@@ -384,7 +424,8 @@ def _takes_upper(c: Vec, sense: str) -> list[bool]:
 
 
 def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
-    """Per-box optimum: coordinates split by cost sign between the bounds."""
+    """Per-box optimum: coordinates split by cost sign between the bounds;
+    the reference for ``solve``, which reads its optimum off the key."""
     x = tuple(
         [cell.upper[j] if up else cell.lower[j] for j, up in enumerate(_takes_upper(c, sense))]
     )
@@ -392,13 +433,15 @@ def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
     return Candidate(triple=triple, cell=cell, x=x, objective=objective)
 
 
-def _picks(lanes: Lanes, c: Vec, sense: str) -> list:
-    """Per coordinate (shift, side, table): the exact objective term of a
-    packed box as an int, smaller is better, is ``table[rank]`` of the lane
-    at ``shift`` in ``box[side]``.  The side is ``_takes_upper``'s, as in
-    ``make_candidate``, and each c_j * grid[r] is multiplied by the lcm of
-    the c denominators times the lcm of the grid denominators, which makes
-    it an integer (negated for max)."""
+def _picks(lanes: Lanes, c: Vec, sense: str) -> tuple[list, Fraction]:
+    """(picks, unit): per coordinate (shift, side, table), the exact
+    objective term of a packed box as an int, smaller is better, is
+    ``table[rank]`` of the lane at ``shift`` in ``box[side]``.  The side is
+    ``_takes_upper``'s, as in ``make_candidate``, and each c_j * grid[r] is
+    multiplied by the lcm of the c denominators times the lcm of the grid
+    denominators, which makes it an integer (negated for max).  ``solve``
+    reads the optimum off the winning key as its score times ``unit``, and
+    the point by these sides; ``make_candidate`` is only the reference."""
     grid = lanes.grid
     c_scale = math.lcm(*(cj.denominator for cj in c))
     g_scale = math.lcm(*(value.denominator for value in grid))
@@ -408,7 +451,7 @@ def _picks(lanes: Lanes, c: Vec, sense: str) -> list:
     for shift, cj, side in zip(lanes.shifts, c, _takes_upper(c, sense)):
         weight = sign * cj.numerator * (c_scale // cj.denominator)
         picks.append((shift, side, [weight * g for g in grid_ints]))
-    return picks
+    return picks, Fraction(sign, c_scale * g_scale)
 
 
 def _prepare(inst: Instance, use_rules: bool):
@@ -433,13 +476,14 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
         return Solution("infeasible", None, infeasible, stats)
 
     lanes, levels = state.lanes, _packed_levels(state)
-    frontier = _frontier(state, levels, _picks(lanes, inst.c, inst.sense))
+    picks, unit = _picks(lanes, inst.c, inst.sense)
+    frontier = _frontier(state, levels, picks)
     admissible = sum(count for count, _ in frontier.values())
     stats = _stats(state, admissible, enumerated=math.prod(state.cardinalities()))
     if not frontier:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
     ((_, key),) = frontier.values()  # every coordinate is masked
-    code = key % math.prod(len(options) for _, options in levels)
+    score, code = divmod(key, math.prod(len(options) for _, options in levels))
     lower, upper, values = lanes.pack(state.lower), lanes.pack(state.upper), []
     for raises_lower, options in reversed(levels):  # the winning triple's box
         code, k = divmod(code, len(options))
@@ -449,8 +493,9 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
             lower = lanes.max(lower, vec)
         else:
             upper = lanes.min(upper, vec)
-    triple = _triple(state, tuple(values))
-    best = make_candidate(triple, lanes.decode(lower, upper), inst.c, inst.sense)
+    cell = lanes.decode(lower, upper)
+    x = tuple([cell.upper[j] if side else cell.lower[j] for j, (_, side, _) in enumerate(picks)])
+    best = Candidate(_triple(state, tuple(values)), cell, x, score * unit)
     return Solution("optimal", best, None, stats)
 
 

@@ -221,10 +221,11 @@ def verify_structure(result: CoverResult, g: Graph) -> StructureReport:
 
     # what the solve reads: variant 1 caps x_i at b_i = 0, variant 2 caps the neighbours
     pin_ok = all(inst.b[i - 1] == ZERO for i in cls.diag_eq)
-    cap_ok = all(
-        cls.caps(i, 2) == tuple(j for j, a in enumerate(inst.A[i - 1], start=1) if a)
-        for i in cls.diag_eq
-    )
+    neighbours: dict[int, list[int]] = {i: [] for i in range(1, g.n + 1)}
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    cap_ok = all(cls.caps(i, 2) == tuple(sorted(neighbours[i])) for i in cls.diag_eq)
     check("masks-complement-adjacency", pin_ok and cap_ok, f"pin_ok={pin_ok} cap_ok={cap_ok}")
 
     return StructureReport(checks=tuple(checks))

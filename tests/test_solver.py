@@ -34,7 +34,7 @@ from maxminfre.reduction import (
 )
 from maxminfre import solver
 from maxminfre.cli import main
-from maxminfre.solver import enumerate_admissible
+from maxminfre.solver import Triple, enumerate_admissible
 
 from .conftest import (
     DATA_DIR,
@@ -379,6 +379,41 @@ def test_projected_frontier_matches_stream_scan_on_covers(g, costs):
             sol = solve(Instance(g.n, A, (ZERO,) * g.n, c, sense))
             assert sol.statistics.admissible == admissible
             assert sol.candidate == _best(stream, c, sense)
+
+
+@given(fine_instances(max_n=5))
+def test_rules_off_matches_the_unreduced_stream(inst):
+    """Without the rules, lowering options that the root lower bound cuts
+    reach the walk, whose lowering phase cuts each such option once for all
+    states; with the rules on, rules 1 and 2 have removed them already."""
+    cls, ext, bounds = _prep(inst)
+    stream = []
+    if gate_feasibility(inst, cls, bounds) is None:
+        stream = list(enumerate_admissible(initial_state(inst, cls, bounds), bounds, ext))
+    sol = solve(inst, use_rules=False)
+    assert sol.statistics.admissible == len(stream)
+    assert sol.candidate == _best(stream, inst.c, inst.sense)
+
+
+# Every row diag_gt (a_ii > b_i), so the table has no selector level
+ZERO_LEVEL_TABLES = [
+    ((fracs(1, "0.3", 0), fracs("0.9", "0.8", 1), fracs(0, "0.5", 1)), fracs("0.5", "0.2", 0)),
+    ((fracs(1),), fracs("0.4")),
+]
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("A,b", ZERO_LEVEL_TABLES)
+def test_zero_level_table_scores_the_root_box(A, b, sense):
+    """No level charges a term during the walk, so every coordinate's term
+    comes from the root box."""
+    for c in itertools.product(fracs("-1.5", 0, 2), repeat=len(b)):
+        inst = Instance(len(b), A, b, c, sense)
+        cls, _, bounds = _prep(inst)
+        assert len(cls.diag_gt) == inst.n
+        root = Cell(bounds.lower, bounds.upper_gt)
+        expected = make_candidate(Triple((), (), (), (), (), ()), root, c, sense)
+        assert solve(inst).candidate == expected
 
 
 def test_value_off_the_grid_fails_loudly(demo10, monkeypatch):
