@@ -168,6 +168,12 @@ class Lanes:
     one int: coordinate j holds its rank in bits [j(w+1), j(w+1) + w) under a
     zero guard bit.
 
+    A box packs into one int of 2n such lanes: the low n hold its upper
+    bound's ranks counted down from the top, ``top - upper``, and the n from
+    bit ``half`` up hold its lower bound's ranks.  Intersecting two boxes is
+    then one lane-wise max, and box A contains box B iff A <= B on every
+    lane.
+
     A rank is looked up on ``value.as_integer_ratio()``, which identifies a
     Fraction exactly and hashes without Fraction.__hash__'s modular inverse.
     The grid is sorted on the integers p * (L // q), L the lcm of the
@@ -185,8 +191,9 @@ class Lanes:
         self.w = w = self.top.bit_length()
         self.lane = (1 << w) - 1
         self.shifts = range(0, n * (w + 1), w + 1)
-        self.unit = sum(1 << shift for shift in self.shifts)  # rank 1 on every lane
-        self.guards = self.unit << w
+        self.half = n * (w + 1)  # the first bit of a box's lower bound
+        self.unit = sum(1 << shift for shift in self.shifts)  # rank 1 on every low lane
+        self.guards = (self.unit | self.unit << self.half) << w  # on all 2n lanes
 
     def rank(self, vec: Vec) -> tuple[int, ...]:
         """The ranks of a vector's values; KeyError for a value off the grid."""
@@ -210,10 +217,21 @@ class Lanes:
         mask = self.ge_mask(a, b)
         return (a & mask) | (b & ~mask)
 
-    def min(self, a: int, b: int) -> int:
-        mask = self.ge_mask(a, b)
-        return (b & mask) | (a & ~mask)
+    def box(self, lower: tuple[int, ...], upper: tuple[int, ...]) -> int:
+        """The box int of two rank vectors."""
+        return (self.top * self.unit - self.pack(upper)) | self.pack(lower) << self.half
 
-    def decode(self, lower: int, upper: int) -> Cell:
-        return Cell(*(tuple(self.grid[r] for r in self.unpack(side)) for side in (lower, upper)))
+    def cell(self, box: int) -> Cell:
+        """The ``Cell`` of a box int, in values."""
+        lower, upper = self.unpack(box >> self.half), self.unpack(box)
+        return Cell(
+            tuple([self.grid[r] for r in lower]), tuple([self.grid[self.top - r] for r in upper])
+        )
 
+    def cap(self, box: int) -> int:
+        """The box int that a nonempty box lies under on every lane iff it
+        meets the nonempty ``box``, with its guard bits set: the top rank
+        minus ``box`` with its halves swapped, since boxes meet iff each one's
+        lower bound is at or below the other's upper bound."""
+        swapped = box >> self.half | (box & ((1 << self.half) - 1)) << self.half
+        return ((self.guards >> self.w) * self.top - swapped) | self.guards

@@ -38,10 +38,12 @@ that term times R to the state's key, so a key is score * R + code, and
 masks j's lanes to zero in both halves of the box.  Two facts keep this
 exact:
 
-* Masked lanes are no-ops for later cuts.  Every later value holds rank 0
-  (raising) or the top rank (lowering) at j, so on j's lanes a cut compares
-  0 <= 0 or 0 <= top, and max(0, 0) and min(0, top) leave them 0; the other
-  lanes see the same cut as on the full box.
+* Masked lanes are no-ops for later options.  Every later anchored minimal
+  holds rank 0 at j and every later maximal the top rank, so a later
+  option's box int is 0 on j's lanes in both halves and its cap the top
+  rank there: the cut compares 0 <= top and the max leaves the lanes 0 in
+  the high half, where a lower bound would be, as in the low half, where an
+  upper bound would be; the other lanes see the same cut as on the full box.
 * Merged states share all later terms.  States with the same masked box take
   the same cuts at every later level and gain the same later objective and
   code terms, so under any common suffix the state of smaller key gives the
@@ -58,10 +60,10 @@ only on the live lanes, and each step takes the level that leaves the fewest
 live.  That greedy is a heuristic for vertex separation, which equals
 pathwidth (Kinnersley, IPL 42, 1992).
 
-The walk has two phases, split at the first raising level in any walk
-order.  Only raising levels move the lower bound, so before the split every
-state holds the root's: states are keyed on the upper bound alone, and each
-lowering option is cut once, against the root.  After it, on the whole box.
+The walk is one loop over the levels, and a state is one box int.  Only
+raising levels move the lower bound, and a lowering cut reads the lower bound
+alone, so in any walk order the lowering options walked before the first
+raising level are cut once, against the root box, and skip the per-pair cut.
 
 After the last level every coordinate is masked and at most one state is
 left: its count is the admissible count, and its key divmod R gives the
@@ -89,13 +91,20 @@ Setting every guard bit of a and subtracting b leaves 2^w + a_j - b_j in
 lane j, which lies in [1, 2^(w+1) - 1], so no lane borrows from its
 neighbour and the guard bit survives exactly where a_j >= b_j.  All guards
 surviving is the lane-wise <= test; widening the survivors to whole-lane
-masks makes max and min two masked selects.  Packing is a bijection between
-rank vectors and ints, so the packed (lower, upper) keys merge exactly the
-states that rank tuples merge.  Each term is read from a
-table of c_j * grid[r] multiplied by one positive common multiple of the
-denominators, looked up by the lane's rank, which makes every entry an
-integer and keeps the order of objectives exact; only the winning box and
-the returned region boxes are unpacked and decoded back to values.
+masks makes max one masked select.  A box is one int of 2n lanes
+(``Lanes.box``): top - upper in the low n and lower in the high n, which
+keeps every cover's box int as narrow as its upper bound, since b = 0 makes
+its lower bound 0.  Each option is the box int of the points on the right
+side of its vector, so the cut box is the lane-wise max of the two; two
+nonempty boxes meet iff each lower bound is at or below the other's upper
+bound, one lane-wise <= against the option's ``Lanes.cap``; and box A
+contains box B iff A <= B lane-wise.  Packing is a bijection between pairs
+of rank vectors and ints, so box-int keys merge exactly the states that rank
+tuples merge.  Each term is read from a table of c_j * grid[r] multiplied by
+one positive common multiple of the denominators, looked up by the lane's
+value, which makes every entry an integer and keeps the order of objectives
+exact; only the winning box and the returned region boxes are read back as
+values (``Lanes.cell``).
 """
 
 from __future__ import annotations
@@ -218,16 +227,18 @@ def _levels(state: ReductionState, anchor, maximal) -> list:
 
 
 def _packed_levels(state: ReductionState) -> list:
-    """``_levels`` on packed ranks, built from the targets and supports."""
+    """``_levels`` on box ints, built from the targets and supports: an
+    option is the box of the points on the right side of its vector, {x >=
+    anchored minimal} or {x <= maximal}, so it is 0 on every lane it does
+    not move."""
     lanes, target, caps = state.lanes, state.target, state.cls.caps
-    shifts, top = lanes.shifts, lanes.top
-    ones = top * lanes.unit
+    shifts, top, half = lanes.shifts, lanes.top, lanes.half
 
     def anchor(i: int, j: int) -> int:
-        return (target[i] << shifts[i - 1]) | (target[i] << shifts[j - 1])
+        return ((target[i] << shifts[i - 1]) | (target[i] << shifts[j - 1])) << half
 
     def maximal(i: int, variant: int) -> int:
-        return ones - sum((top - target[i]) << shifts[j - 1] for j in caps(i, variant))
+        return sum((top - target[i]) << shifts[j - 1] for j in caps(i, variant))
 
     return _levels(state, anchor, maximal)
 
@@ -260,26 +271,24 @@ def enumerate_admissible(
 
 
 def _moved_lanes(lanes: Lanes, levels: list) -> list[int]:
-    """Per level, the mask of the lanes that some option moves: those where
-    it differs from its level's no-op, rank 0 when it raises, the top rank
-    when it lowers."""
-    ones = lanes.top * lanes.unit
+    """Per level, the mask of the coordinates that some option moves: those
+    whose lane is nonzero in either half of an option's box int."""
+    low = (1 << lanes.half) - 1
     masks = []
-    for raises_lower, options in levels:
-        noop = 0 if raises_lower else ones
+    for _, options in levels:
         moved = 0
         for _, vec in options:
-            moved |= lanes.ge_mask(vec ^ noop, lanes.unit)
-        masks.append(moved)
+            moved |= vec
+        masks.append(lanes.ge_mask(moved | moved >> lanes.half, lanes.unit) & low)
     return masks
 
 
 def _projection(lanes: Lanes, moved: list[int], picks: list) -> list:
     """(keep, dropped) at the root and after each level, given the levels'
-    ``_moved_lanes`` masks in walk order: ``keep`` masks the lanes that some
-    later level can still move, ``dropped`` lists the picks of the
-    coordinates that no later level moves, each coordinate once (those that
-    no level moves go with the root)."""
+    ``_moved_lanes`` masks in walk order: ``keep`` masks the lanes, in both
+    halves of a box int, that some later level can still move, ``dropped``
+    lists the picks of the coordinates that no later level moves, each
+    coordinate once (those that no level moves go with the root)."""
     everything = lanes.lane * lanes.unit
     step = lanes.w + 1
 
@@ -293,9 +302,9 @@ def _projection(lanes: Lanes, moved: list[int], picks: list) -> list:
 
     later, steps = 0, []
     for mask in reversed(moved):
-        steps.append((later, dropped(mask & ~later)))
+        steps.append((later | later << lanes.half, dropped(mask & ~later)))
         later |= mask
-    steps.append((later, dropped(everything & ~later)))
+    steps.append((later | later << lanes.half, dropped(everything & ~later)))
     return steps[::-1]
 
 
@@ -331,82 +340,65 @@ def _walk_order(levels: list, moved: list[int]) -> list[int]:
 
 
 def _frontier(state: ReductionState, levels: list, picks: list | None = None) -> dict:
-    """Packed (lower, upper) -> [multiplicity, smallest key] for every
-    distinct nonempty state after the levels, walked in ``_walk_order`` in
-    the two phases of the module docstring; the box stays nonempty iff the
-    chosen vector lies on the right side of the bound it does not move.
-    Without ``picks`` a key is a code and a state a whole box; with the
-    per-coordinate ``(shift, side, table)`` picks each coordinate's term
-    times R joins the key once no later level moves it, at the root for the
+    """Box int -> [multiplicity, smallest key] for every distinct nonempty
+    state after the levels, walked in ``_walk_order``.  An option meets a
+    state iff the state lies lane-wise under the option's ``Lanes.cap``, and
+    then the new state is their lane-wise max.  A lowering cut compares the
+    option with the lower bound alone, which only raising levels move, so
+    the lowering levels walked before the first raising one are cut once,
+    against the root box, and carry a cap of 0, which the per-pair test
+    skips.  Without ``picks`` a key is a code and a state a whole box; with
+    the per-coordinate ``(shift, table)`` picks each coordinate's term times
+    R joins the key once no later level moves it, at the root for the
     coordinates that no level moves.  The root box is the ranked bounds,
     which ``gate_feasibility`` has already found uncrossed, so it is
-    nonempty and not checked again here.  The per-pair loops write the
+    nonempty and not checked again here.  The per-pair loop writes the
     ``Lanes`` operations out, which saves a method call per pair."""
     lanes = state.lanes
-    guards, w, lane = lanes.guards, lanes.w, lanes.lane
-    lower, upper = lanes.pack(state.lower), lanes.pack(state.upper)
+    w, lane = lanes.w, lanes.lane
+    root = active = lanes.box(state.lower, state.upper)
     coded, radix = [], 1  # option k of level p adds k * w_p to the code
-    for raises_lower, options in reversed(levels):
-        coded.insert(0, (raises_lower, [(k * radix, vec) for k, (_, vec) in enumerate(options)]))
+    for _, options in reversed(levels):
+        coded.insert(0, [(k * radix, vec, lanes.cap(vec)) for k, (_, vec) in enumerate(options)])
         radix *= len(options)
+        for _, vec in options:
+            active |= vec
+    # a lane that the root and every option leave 0 stays 0 in every state, and
+    # 0 - 0 borrows nothing, so only the other lanes get a guard bit: a cover's
+    # lower bound is 0, and its box ints stay as narrow as its upper bounds
+    guards = (active + (lanes.guards >> w) * lane) & lanes.guards
     moved = _moved_lanes(lanes, levels)
     order = _walk_order(levels, moved)
-    walked = [coded[p] for p in order]
+    walked, raised = [], False
+    for p in order:
+        raised = raised or levels[p][0]
+        options = coded[p]
+        if not raised:  # every state holds the root's lower bound
+            options = [(term, vec, 0) for term, vec, cap in options if lanes.le(root, cap)]
+        walked.append(options)
     if picks is None:
         steps = [(-1, ())] * (len(levels) + 1)
     else:
-        picks = [(shift, side, [term * radix for term in table]) for shift, side, table in picks]
+        picks = [(shift, [term * radix for term in table]) for shift, table in picks]
         steps = _projection(lanes, [moved[p] for p in order], picks)
     (keep, dropped), *steps = steps
-    key = sum(table[((upper if side else lower) >> shift) & lane] for shift, side, table in dropped)
-    lower, frontier = lower & keep, {upper & keep: [1, key]}
-    split = next((k for k, (raises_lower, _) in enumerate(walked) if raises_lower), len(walked))
-    for (_, options), (keep, dropped) in zip(walked[:split], steps):
-        # every state shares ``lower``: its cut and its dropped terms go once per option
-        charged = sum(table[(lower >> shift) & lane] for shift, side, table in dropped if not side)
-        live = [(term + charged, vec) for term, vec in options if lanes.le(lower, vec)]
-        uppers = [(shift, table) for shift, side, table in dropped if side]
+    frontier = {root & keep: [1, sum(table[(root >> shift) & lane] for shift, table in dropped)]}
+    for options, (keep, dropped) in zip(walked, steps):
         merged: dict = {}
-        for upper, (count, key) in frontier.items():
-            guarded = upper | guards
-            for term, vec in live:
+        for box, (count, key) in frontier.items():
+            guarded = box | guards
+            for term, vec, cap in options:
+                if cap and (cap - box) & guards != guards:
+                    continue
                 ge = (((guarded - vec) & guards) >> w) * lane
-                up = (vec & ge) | (upper & ~ge)
+                met = (box & ge) | (vec & ~ge)
                 total = key + term
-                for shift, table in uppers:
-                    total += table[(up >> shift) & lane]
-                up &= keep
-                entry = merged.get(up)
+                for shift, table in dropped:
+                    total += table[(met >> shift) & lane]
+                met &= keep
+                entry = merged.get(met)
                 if entry is None:
-                    merged[up] = [count, total]
-                else:
-                    entry[0] += count
-                    if total < entry[1]:
-                        entry[1] = total
-        frontier, lower = merged, lower & keep
-    frontier = {(lower, upper): entry for upper, entry in frontier.items()}
-    for (raises_lower, options), (keep, dropped) in zip(walked[split:], steps[split:]):
-        merged = {}
-        for (lower, upper), (count, key) in frontier.items():
-            guarded_lower, guarded_upper = lower | guards, upper | guards
-            for term, vec in options:
-                if raises_lower:
-                    if (guarded_upper - vec) & guards != guards:
-                        continue
-                    ge = (((guarded_lower - vec) & guards) >> w) * lane
-                    lo, up = (lower & ge) | (vec & ~ge), upper
-                else:
-                    if ((vec | guards) - lower) & guards != guards:
-                        continue
-                    ge = (((guarded_upper - vec) & guards) >> w) * lane
-                    lo, up = lower, (vec & ge) | (upper & ~ge)
-                total = key + term
-                for shift, side, table in dropped:
-                    total += table[((up if side else lo) >> shift) & lane]
-                box = (lo & keep, up & keep)
-                entry = merged.get(box)
-                if entry is None:
-                    merged[box] = [count, total]
+                    merged[met] = [count, total]
                 else:
                     entry[0] += count
                     if total < entry[1]:
@@ -434,23 +426,24 @@ def make_candidate(triple: Triple, cell: Cell, c: Vec, sense: str) -> Candidate:
 
 
 def _picks(lanes: Lanes, c: Vec, sense: str) -> tuple[list, Fraction]:
-    """(picks, unit): per coordinate (shift, side, table), the exact
-    objective term of a packed box as an int, smaller is better, is
-    ``table[rank]`` of the lane at ``shift`` in ``box[side]``.  The side is
-    ``_takes_upper``'s, as in ``make_candidate``, and each c_j * grid[r] is
-    multiplied by the lcm of the c denominators times the lcm of the grid
-    denominators, which makes it an integer (negated for max).  ``solve``
-    reads the optimum off the winning key as its score times ``unit``, and
-    the point by these sides; ``make_candidate`` is only the reference."""
+    """(picks, unit): per coordinate (shift, table), the exact objective term
+    of a box int as an int, smaller is better, is ``table[lane]`` for its
+    lane at ``shift``.  A coordinate on ``_takes_upper``'s upper side, as in
+    ``make_candidate``, reads top - rank from the low half through the
+    reversed table, one on the lower side its rank from the high half.  Each
+    c_j * grid[r] is multiplied by the lcm of the c denominators times the
+    lcm of the grid denominators, which makes it an integer (negated for
+    max).  ``solve`` reads the optimum off the winning key as its score times
+    ``unit``; ``make_candidate`` is only the reference."""
     grid = lanes.grid
     c_scale = math.lcm(*(cj.denominator for cj in c))
     g_scale = math.lcm(*(value.denominator for value in grid))
     grid_ints = [value.numerator * (g_scale // value.denominator) for value in grid]
     sign = 1 if sense == "min" else -1
     picks = []
-    for shift, cj, side in zip(lanes.shifts, c, _takes_upper(c, sense)):
-        weight = sign * cj.numerator * (c_scale // cj.denominator)
-        picks.append((shift, side, [weight * g for g in grid_ints]))
+    for shift, cj, up in zip(lanes.shifts, c, _takes_upper(c, sense)):
+        table = [sign * cj.numerator * (c_scale // cj.denominator) * g for g in grid_ints]
+        picks.append((shift, table[::-1]) if up else (shift + lanes.half, table))
     return picks, Fraction(sign, c_scale * g_scale)
 
 
@@ -484,17 +477,15 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
         return Solution("infeasible", None, Infeasibility(CAUSE_NO_TRIPLE), stats)
     ((_, key),) = frontier.values()  # every coordinate is masked
     score, code = divmod(key, math.prod(len(options) for _, options in levels))
-    lower, upper, values = lanes.pack(state.lower), lanes.pack(state.upper), []
-    for raises_lower, options in reversed(levels):  # the winning triple's box
+    box, values = lanes.box(state.lower, state.upper), []
+    for _, options in reversed(levels):  # the winning triple's box
         code, k = divmod(code, len(options))
         value, vec = options[k]
         values.insert(0, value)
-        if raises_lower:
-            lower = lanes.max(lower, vec)
-        else:
-            upper = lanes.min(upper, vec)
-    cell = lanes.decode(lower, upper)
-    x = tuple([cell.upper[j] if side else cell.lower[j] for j, (_, side, _) in enumerate(picks)])
+        box = lanes.max(box, vec)
+    cell = lanes.cell(box)
+    # a pick in the high half reads the lower bound
+    x = tuple([lo if shift >= lanes.half else up for lo, up, (shift, _) in zip(*cell, picks)])
     best = Candidate(_triple(state, tuple(values)), cell, x, score * unit)
     return Solution("optimal", best, None, stats)
 
@@ -511,16 +502,16 @@ def resolve_region(inst: Instance, dedup: bool = True) -> tuple[list[Cell], Infe
     if not frontier:
         return [], Infeasibility(CAUSE_NO_TRIPLE)
     boxes = sorted(frontier, key=lambda box: frontier[box][1])  # stream order
-    if dedup:  # packed until the end: dominance is the same on ranks
+    if dedup:  # packed until the end: box A contains box B iff A <= B lane-wise
         le = state.lanes.le
         kept: list = []
-        for lower, upper in boxes:
-            if any(le(lo, lower) and le(upper, up) for lo, up in kept):
+        for box in boxes:
+            if any(le(other, box) for other in kept):
                 continue
-            kept = [(lo, up) for lo, up in kept if not (le(lower, lo) and le(up, upper))]
-            kept.append((lower, upper))
+            kept = [other for other in kept if not le(box, other)]
+            kept.append(box)
         boxes = kept
-    return [state.lanes.decode(lower, upper) for lower, upper in boxes], None
+    return [state.lanes.cell(box) for box in boxes], None
 
 
 def feasible_region(inst: Instance, dedup: bool = True) -> list[Cell]:

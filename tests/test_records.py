@@ -1,5 +1,5 @@
 """The plain-data records are NamedTuples: this pins each one's field order,
-which ``bench/traced.py`` and ``Lanes.decode`` rely on when they build
+which ``bench/traced.py`` and ``Lanes.cell`` rely on when they build
 ``Solution``, ``CoverResult`` and ``Cell`` positionally, and the contract
 the frozen dataclasses they replaced had: no assignment, equality by value,
 a hash wherever every field has one."""

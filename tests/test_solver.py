@@ -436,11 +436,11 @@ GRID_SIZES = sorted({2, 3, 4, 5, *(size for k in range(1, 8) for size in (2**k, 
 
 
 @st.composite
-def lane_cases(draw):
+def lane_cases(draw, vectors=2):
     size = draw(st.sampled_from(GRID_SIZES))
     n = draw(st.integers(1, 70))
     rank_vectors = st.lists(st.integers(0, size - 1), min_size=n, max_size=n).map(tuple)
-    return size, draw(rank_vectors), draw(rank_vectors)
+    return (size, *(draw(rank_vectors) for _ in range(vectors)))
 
 
 @given(lane_cases())
@@ -451,15 +451,40 @@ def test_packed_lanes_match_rank_vectors(case):
     packed_a, packed_b = (lanes.pack(lanes.rank(tuple(grid[r] for r in v))) for v in (a, b))
     assert lanes.unpack(packed_a) == a
     assert lanes.unpack(lanes.max(packed_a, packed_b)) == vec_max(a, b)
-    assert lanes.unpack(lanes.min(packed_a, packed_b)) == vec_min(a, b)
     assert lanes.le(packed_a, packed_b) == vec_le(a, b)
     # the comparisons near equality, where a borrow would cross a lane
-    low, high = lanes.min(packed_a, packed_b), lanes.max(packed_a, packed_b)
+    low, high = lanes.pack(vec_min(a, b)), lanes.max(packed_a, packed_b)
     assert lanes.le(low, high) and lanes.le(low, packed_a) and lanes.le(packed_a, high)
     assert lanes.le(high, low) == (a == b)
-    assert lanes.decode(low, high) == Cell(
-        tuple(grid[r] for r in vec_min(a, b)), tuple(grid[r] for r in vec_max(a, b))
-    )
+
+
+@given(lane_cases(vectors=3))
+def test_box_ints_match_rank_boxes(case):
+    """A box int round-trips through ``Lanes.cell``; an anchor's box {x >=
+    v} raises the lower bound and a maximal's box {x <= v} lowers the upper
+    bound by one lane-wise max; on a nonempty box the cap test is the
+    nonempty test; and <= on nonempty box ints is containment."""
+    size, a, b, v = case
+    grid = tuple(Fraction(r, size - 1) for r in range(size))
+    lanes, n, top = Lanes(grid, len(v)), len(v), size - 1
+
+    def cell(lower, upper):
+        return Cell(tuple(grid[r] for r in lower), tuple(grid[r] for r in upper))
+
+    assert lanes.cell(lanes.box(a, b)) == cell(a, b)
+    raising, lowering = lanes.box(v, (top,) * n), lanes.box((0,) * n, v)
+    assert lanes.cell(lanes.max(lanes.box(a, b), raising)) == cell(vec_max(a, v), b)
+    assert lanes.cell(lanes.max(lanes.box(a, b), lowering)) == cell(a, vec_min(b, v))
+    low, high = vec_min(a, b), vec_max(a, b)
+    box = lanes.box(low, high)
+    assert lanes.le(box, lanes.cap(raising)) == vec_le(vec_max(low, v), high)
+    assert lanes.le(box, lanes.cap(lowering)) == vec_le(low, vec_min(high, v))
+    # nested and equal boxes, where a borrow would cross a lane, and a drawn one
+    inside = vec_max(low, vec_min(v, high))
+    boxes = [(low, high), (inside, high), (low, inside), (inside, inside), (low, low), (v, v)]
+    for outer, inner in itertools.product(boxes, repeat=2):
+        contains = dominates(cell(*outer), cell(*inner))
+        assert lanes.le(lanes.box(*outer), lanes.box(*inner)) == contains
 
 
 def test_seed10_merges_every_triple_into_one_box():
@@ -617,6 +642,19 @@ def test_walk_order_does_not_change_cover_results(g, costs, sense, rng):
     A = graph_to_instance(g).A
     inst = Instance(g.n, A, (ZERO,) * g.n, tuple(costs[: g.n]), sense)
     assert _permuted_results(inst, rng) == _results(inst)
+
+
+def test_reversed_walk_order_does_not_change_results():
+    """Walked in reverse, a table with a raising level takes its anchors
+    first, so lowering levels come after a raising one and must cut against
+    each state's own lower bound: on these seeds a walk that skips that cut,
+    or cuts against the root's lower bound, admits crossed boxes."""
+    walk_order = solver._walk_order
+    for seed in range(40):
+        inst = load_instance(random_fre_doc(5, 0.7, seed, b_cap=0.5))
+        expected = _results(inst)
+        with mock.patch.object(solver, "_walk_order", lambda *args: walk_order(*args)[::-1]):
+            assert _results(inst) == expected, seed
 
 
 def test_lowering_only_table_is_walked_by_fewest_live_lanes():
