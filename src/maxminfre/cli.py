@@ -153,9 +153,9 @@ def cmd_reduce(args) -> int:
         return INFEASIBLE
     for event in state.trace:
         print(event.line())
-    for i in state.eq_rows:
+    for i in state.cls.diag_eq:
         print(f"eq row {i}: variants {set(state.eq_dom[i]) or '{}'}")
-    for i in state.lt_rows:
+    for i in state.cls.diag_lt:
         print(f"lt row {i}: variants {set(state.lt_dom[i]) or '{}'}")
         print(f"lt row {i}: anchors {set(state.anchor_dom[i]) or '{}'}")
     for stage, eq, lt, anchor in state.snapshots:
@@ -300,7 +300,7 @@ def cmd_check(args) -> int:
         except InstanceError as exc:
             raise InstanceError(f"--x: {exc}") from exc
     else:
-        values = [v for v in raw.split(",") if v.strip()]
+        values = raw.split(",")  # every field counts: an empty one fails as x[k]
     report = check_membership(inst, values)
     doc = {
         "feasible": report.feasible,

@@ -179,12 +179,15 @@ class Lanes:
     The grid is sorted on the integers p * (L // q), L the lcm of the
     denominators, which is the same order as p / q without a single Fraction
     compare.  Comparing ranks is therefore comparing the values exactly.
+    Both are kept: ``scale`` is L and ``ints[r]`` is grid[r] * L, the
+    integer grid in rank order that the objective tables are read from.
     """
 
     def __init__(self, values: Iterable[Fraction], n: int):
         ratios = set([value.as_integer_ratio() for value in values])
-        scale = math.lcm(*(q for _, q in ratios))
+        self.scale = scale = math.lcm(*(q for _, q in ratios))
         ordered = sorted(ratios, key=lambda pq: pq[0] * (scale // pq[1]))
+        self.ints = tuple([p * (scale // q) for p, q in ordered])  # grid[r] * scale
         self._ranks = {pq: r for r, pq in enumerate(ordered)}
         self.grid = tuple([Fraction(p, q) for p, q in ordered])  # grid[r] has rank r
         self.top = len(ordered) - 1  # the rank of the largest value, 1 on a solve's grid

@@ -158,10 +158,11 @@ def instance_from_doc(doc: dict) -> Instance:
 
 def parse_json(text: str):
     """Parse JSON text, keeping every number as its text so that it gets the
-    field-naming checks of strings."""
+    field-naming checks of strings.  Nesting too deep for the decoder's
+    recursion is invalid input too."""
     try:
         return json.loads(text, parse_float=str, parse_int=str)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError(f"invalid JSON: {exc}") from exc
 
 

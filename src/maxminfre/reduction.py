@@ -88,16 +88,6 @@ class ReductionState:
     snapshots: list[tuple[str, int, int, int]] = field(default_factory=list)
     infeasible: Infeasibility | None = None
 
-    @property
-    def eq_rows(self) -> tuple[int, ...]:
-        """diag_eq rows, ascending."""
-        return self.cls.diag_eq
-
-    @property
-    def lt_rows(self) -> tuple[int, ...]:
-        """diag_lt rows, ascending."""
-        return self.cls.diag_lt
-
     def cardinalities(self) -> tuple[int, int, int]:
         doms = (self.eq_dom, self.lt_dom, self.anchor_dom)
         return tuple([math.prod(map(len, dom.values())) for dom in doms])
@@ -169,8 +159,8 @@ def apply_bound_rules(state: ReductionState) -> ReductionState:
     exceeds 1, so only those coordinates can be crossed; they are scanned in
     ascending order, which keeps the first crossing as the witness.
     """
-    caps, lower, target = state.cls.caps, state.lower, state.target
-    for rule, dom, rows in ((1, state.eq_dom, state.eq_rows), (2, state.lt_dom, state.lt_rows)):
+    cls, caps, lower, target = state.cls, state.cls.caps, state.lower, state.target
+    for rule, dom, rows in ((1, state.eq_dom, cls.diag_eq), (2, state.lt_dom, cls.diag_lt)):
         hits = []
         for row in rows:
             t = target[row]
@@ -189,7 +179,7 @@ def apply_minimal_rule3(state: ReductionState) -> ReductionState:
     upper, target = state.upper, state.target
     hits = [
         (row, j, (j,))
-        for row in state.lt_rows
+        for row in state.cls.diag_lt
         for j in state.anchor_dom[row]
         if target[row] > upper[j - 1]
     ]
@@ -208,8 +198,8 @@ def apply_cross_rules(state: ReductionState) -> ReductionState:
     No s equals r: a diag_eq or diag_lt row has a_rr <= b_r, so r is not in
     its own strict support.
     """
-    target, lt = state.target, set(state.lt_rows)
-    for rule, dom, rows in ((4, state.eq_dom, state.eq_rows), (5, state.lt_dom, state.lt_rows)):
+    cls, target, lt = state.cls, state.target, set(state.cls.diag_lt)
+    for rule, dom, rows in ((4, state.eq_dom, cls.diag_eq), (5, state.lt_dom, cls.diag_lt)):
         hits = []
         for r in rows:
             if 2 not in dom[r]:
@@ -217,7 +207,7 @@ def apply_cross_rules(state: ReductionState) -> ReductionState:
             s = next(
                 (
                     s
-                    for s in state.cls.support_strict[r]
+                    for s in cls.support_strict[r]
                     if s in lt and target[r] < target[s]
                 ),
                 None,
@@ -240,13 +230,13 @@ def apply_pinned_rules(state: ReductionState) -> ReductionState:
     only about diag_lt columns.  A row s = r never hits, since its target is
     not larger than its own.
     """
-    target, lt_rows = state.target, state.lt_rows
+    target, lt_rows = state.target, state.cls.diag_lt
     holders: dict[int, int] = {}
     for k, s in enumerate(lt_rows):
         bit = 1 << k
         for r in state.anchor_dom[s]:
             holders[r] = holders.get(r, 0) | bit
-    for rule, dom, rows in ((6, state.eq_dom, state.eq_rows), (7, state.lt_dom, state.lt_rows)):
+    for rule, dom, rows in ((6, state.eq_dom, state.cls.diag_eq), (7, state.lt_dom, lt_rows)):
         hits = []
         for r in rows:
             if dom[r] != (1,):

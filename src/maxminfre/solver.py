@@ -216,13 +216,11 @@ def _levels(state: ReductionState, anchor, maximal) -> list:
     anchor rows raise ``lower`` by ``anchor(row, column)``, then eq rows and
     lt rows lower ``upper`` by ``maximal(row, variant)``; values ascend
     within a level."""
+    eq_rows, lt_rows = state.cls.diag_eq, state.cls.diag_lt
     return (
-        [
-            (True, tuple((j, anchor(i, j)) for j in state.anchor_dom[i]))
-            for i in state.lt_rows
-        ]
-        + [(False, tuple((v, maximal(i, v)) for v in state.eq_dom[i])) for i in state.eq_rows]
-        + [(False, tuple((v, maximal(i, v)) for v in state.lt_dom[i])) for i in state.lt_rows]
+        [(True, tuple((j, anchor(i, j)) for j in state.anchor_dom[i])) for i in lt_rows]
+        + [(False, tuple((v, maximal(i, v)) for v in state.eq_dom[i])) for i in eq_rows]
+        + [(False, tuple((v, maximal(i, v)) for v in state.lt_dom[i])) for i in lt_rows]
     )
 
 
@@ -244,7 +242,7 @@ def _packed_levels(state: ReductionState) -> list:
 
 
 def _triple(state: ReductionState, values: tuple[int, ...]) -> Triple:
-    lt_rows, eq_rows = state.lt_rows, state.eq_rows
+    lt_rows, eq_rows = state.cls.diag_lt, state.cls.diag_eq
     a, e = len(lt_rows), len(lt_rows) + len(eq_rows)
     return Triple(lt_rows, values[:a], eq_rows, values[a:e], lt_rows, values[e:])
 
@@ -432,19 +430,17 @@ def _picks(lanes: Lanes, c: Vec, sense: str) -> tuple[list, Fraction]:
     ``make_candidate``, reads top - rank from the low half through the
     reversed table, one on the lower side its rank from the high half.  Each
     c_j * grid[r] is multiplied by the lcm of the c denominators times the
-    lcm of the grid denominators, which makes it an integer (negated for
-    max).  ``solve`` reads the optimum off the winning key as its score times
-    ``unit``; ``make_candidate`` is only the reference."""
-    grid = lanes.grid
+    grid's ``Lanes.scale``, which makes it c_j's integer times the grid's
+    ``Lanes.ints[r]`` (negated for max).  ``solve`` reads the optimum off the
+    winning key as its score times ``unit``; ``make_candidate`` is only the
+    reference."""
     c_scale = math.lcm(*(cj.denominator for cj in c))
-    g_scale = math.lcm(*(value.denominator for value in grid))
-    grid_ints = [value.numerator * (g_scale // value.denominator) for value in grid]
     sign = 1 if sense == "min" else -1
     picks = []
     for shift, cj, up in zip(lanes.shifts, c, _takes_upper(c, sense)):
-        table = [sign * cj.numerator * (c_scale // cj.denominator) * g for g in grid_ints]
+        table = [sign * cj.numerator * (c_scale // cj.denominator) * g for g in lanes.ints]
         picks.append((shift, table[::-1]) if up else (shift + lanes.half, table))
-    return picks, Fraction(sign, c_scale * g_scale)
+    return picks, Fraction(sign, c_scale * lanes.scale)
 
 
 def _prepare(inst: Instance, use_rules: bool):
@@ -493,8 +489,11 @@ def solve(inst: Instance, use_rules: bool = True) -> Solution:
 def resolve_region(inst: Instance, dedup: bool = True) -> tuple[list[Cell], Infeasibility | None]:
     """(the distinct nonempty boxes over admissible triples in stream order,
     None), or ([], the verdict ``solve`` gives), from one pipeline pass.  With
-    ``dedup`` every box inside another returned box is dropped (first
-    occurrence wins among equals), which does not change the union."""
+    ``dedup`` only the maximal boxes are kept, those inside no other walked
+    box, still in stream order, which does not change the union.  The walk
+    merges equal boxes, so no two of them are equal.  Each container lies
+    inside a maximal box, so a box is tested against the maximal boxes found
+    before it, walking in an order that puts every container first."""
     state, infeasible = _prepare(inst, use_rules=True)
     if infeasible is not None:
         return [], infeasible
@@ -502,15 +501,12 @@ def resolve_region(inst: Instance, dedup: bool = True) -> tuple[list[Cell], Infe
     if not frontier:
         return [], Infeasibility(CAUSE_NO_TRIPLE)
     boxes = sorted(frontier, key=lambda box: frontier[box][1])  # stream order
-    if dedup:  # packed until the end: box A contains box B iff A <= B lane-wise
-        le = state.lanes.le
-        kept: list = []
-        for box in boxes:
-            if any(le(other, box) for other in kept):
-                continue
-            kept = [other for other in kept if not le(box, other)]
-            kept.append(box)
-        boxes = kept
+    if dedup:  # box A contains box B iff A <= B lane-wise, so a container is the smaller int
+        le, maximal = state.lanes.le, []
+        for b in sorted(boxes):  # every box after its containers
+            if not any(le(a, b) for a in maximal):
+                maximal.append(b)
+        boxes = [b for b in boxes if b in maximal]
     return [state.lanes.cell(box) for box in boxes], None
 
 

@@ -79,7 +79,7 @@ def parse_graph(text: str) -> Graph:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise GraphError(f"invalid JSON graph: {exc}") from exc
         if "adjacency" not in doc:
             raise GraphError('JSON graph must contain an "adjacency" matrix')

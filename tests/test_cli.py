@@ -16,6 +16,8 @@ from .conftest import DATA_DIR, RULES_BLIND_INFEASIBLE
 DEMO = str(DATA_DIR / "demo10.json")
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DEMO_X = "0.66,0.57,0.14,0.4,0.45,1,0.55,0.62,0.04,0.53"
+# nested far past the depth at which the JSON decoder runs out of recursion
+DEEP = "[" * 100_000 + "]" * 100_000
 # golden file -> (exit code, argv), run from the repository root so the echoed
 # path is stable
 GOLDENS = {
@@ -247,6 +249,30 @@ def test_oversized_input_is_an_input_error_echoed_short(capsys, tmp_path, comman
 
 
 @pytest.mark.parametrize(
+    "text, argv",
+    [
+        (DEEP, ("solve", "{path}")),
+        (DEEP, ("reduce", "{path}")),
+        (DEEP, ("extremals", "{path}")),
+        (DEEP, ("region", "{path}")),
+        (DEEP, ("check", "{path}", "--x", DEMO_X)),
+        ("", ("check", DEMO, "--x", DEEP)),
+        # oracle reads a file that starts with '{' as JSON
+        ('{"A": %s, "b": [], "c": []}' % DEEP, ("oracle", "{path}")),
+        ('{"adjacency": %s}' % DEEP, ("vc", "{path}")),
+    ],
+    ids=["solve", "reduce", "extremals", "region", "check", "check-x", "oracle", "vc"],
+)
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, text, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *(str(path) if a == "{path}" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(("error: invalid JSON", "error: --x: invalid JSON"))
+    assert "Traceback" not in err and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
     "argv",
     [("solve",), ("vc",), ("oracle",), ("gen", "random-graph", "--n", "3", "-o")],
     ids=["solve", "vc", "oracle", "gen"],
@@ -365,6 +391,10 @@ def test_input_contract_enforced_at_load(capsys, tmp_path):
     assert code == 2 and "x[1]" in err
     code, _, err = run_cli(capsys, "check", DEMO, "--x", "[0, 0")
     assert code == 2 and "--x" in err
+    # an empty field, inside the list or after a trailing comma, is a field too
+    for x, field in ((DEMO_X.replace(",", ",,", 1), "x[2]"), (DEMO_X + ",", "x[11]")):
+        code, out, err = run_cli(capsys, "check", DEMO, "--x", x)
+        assert code == 2 and out == "" and err.startswith(f"error: {field}: ")
     # a JSON list reads its numbers as the loader does: as text
     for x in ("[1e-1000000,0,0,0,0,0,0,0,0,0]", "1e-1000000,0,0,0,0,0,0,0,0,0"):
         code, out, err = run_cli(capsys, "check", DEMO, "--x", x)

@@ -104,6 +104,16 @@ def test_load_rejects_bad_json(tmp_path):
         load_instance(path)
 
 
+def test_load_rejects_json_nested_too_deep(tmp_path):
+    """The decoder runs out of recursion: an input error, not a RecursionError."""
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for source in (path, '{"A": %s, "b": [], "c": []}' % deep):
+        with pytest.raises(InstanceError, match="^invalid JSON: "):
+            load_instance(source)
+
+
 def test_unreadable_long_path_is_named_by_its_end(tmp_path):
     path = str(tmp_path / ("x" * 5000 + "-missing.json"))
     with pytest.raises(InstanceError) as exc:

@@ -59,7 +59,7 @@ def test_demo_masks(demo10):
     """Row tuples and initial domains on demo10; the extremal vectors come from ext."""
     cls, ext, bounds = _pipeline(demo10)
     state = initial_state(demo10, cls, bounds)
-    assert state.eq_rows == (2, 4, 5, 6) and state.lt_rows == (7, 8, 10)
+    assert cls.diag_eq == (2, 4, 5, 6) and cls.diag_lt == (7, 8, 10)
     assert ext.maximal(2, 1) == fracs(1, "0.57", 1, 1, 1, 1, 1, 1, 1, 1)
     assert state.anchor_dom == {7: (1, 3, 4, 6, 9, 10), 8: (1, 2, 4, 5, 7, 9), 10: (1, 2, 5, 9)}
     # rule 3 reads the anchored minimal at the anchor column: always b_i
@@ -71,7 +71,7 @@ def test_masks_empty_when_no_lt_rows():
     inst = load_instance({"A": [["0.9"]], "b": ["0.5"], "c": ["1"]})
     cls, _, bounds = _pipeline(inst)
     state = initial_state(inst, cls, bounds)
-    assert state.eq_rows == () and state.lt_rows == ()
+    assert cls.diag_eq == () and cls.diag_lt == ()
     assert state.eq_dom == state.lt_dom == state.anchor_dom == {}
 
 

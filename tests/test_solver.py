@@ -668,7 +668,7 @@ def test_lowering_only_table_is_walked_by_fewest_live_lanes():
     state, _ = solver._prepare(graph_to_instance(g), use_rules=True)
     levels = solver._packed_levels(state)
     moved = solver._moved_lanes(state.lanes, levels)
-    assert state.eq_rows == (1, 2, 3, 4) and not state.lt_rows
+    assert state.cls.diag_eq == (1, 2, 3, 4) and not state.cls.diag_lt
     assert [state.lanes.unpack(mask) for mask in moved] == [
         (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1)
     ]

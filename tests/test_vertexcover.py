@@ -105,6 +105,16 @@ def test_make_graph_rejects_a_vertex_count_that_is_not_a_positive_int(n):
         make_graph(n, [])
 
 
+def test_load_graph_rejects_json_nested_too_deep(tmp_path):
+    """The decoder runs out of recursion: an input error, not a RecursionError."""
+    text = '{"adjacency": %s}' % ("[" * 100_000 + "]" * 100_000)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for source in (path, text):
+        with pytest.raises(GraphError, match="^invalid JSON graph: "):
+            load_graph(source)
+
+
 def test_unreadable_long_path_is_named_by_its_end(tmp_path):
     path = str(tmp_path / ("x" * 5000 + "-missing.col"))
     with pytest.raises(GraphError) as exc:
