@@ -92,10 +92,14 @@ def _check_exponent(text: str) -> None:
 
 def quoted(value) -> str:
     """repr of an input value, cut short when it is long: a string past 40
-    characters to its first 37 and "...", any other repr the same way."""
+    characters to its first 37 and "...", any other repr the same way.  A
+    value nested too deep for repr is shown by its type name."""
     if isinstance(value, str):
         return repr(value if len(value) <= 40 else value[:37] + "...")
-    shown = repr(value)
+    try:
+        shown = repr(value)
+    except RecursionError:
+        return type(value).__name__
     return shown if len(shown) <= 40 else shown[:37] + "..."
 
 

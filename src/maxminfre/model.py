@@ -7,6 +7,12 @@ An instance is a square system over x in [0,1]^n:
 together with a linear objective c'x to minimize or maximize.  Row i is
 satisfied exactly when (I) min{a_ij, x_i, x_j} <= b_i for every column j and
 (II) equality holds for at least one column.
+
+Loading parses each distinct decimal string once per process: ``_checked``
+is a table of at most ``SCALAR_TABLE_SIZE`` checked scalars, keyed on the
+string and on whether it must lie in [0, 1].  Full of short decimals it holds
+about 1 MB; full of 1000-place decimals, about 9 MB; at its worst, every entry
+a cost of the longest length it keeps (``_TABLE_TEXT_LIMIT``), about 15 MB.
 """
 
 from __future__ import annotations
@@ -14,10 +20,18 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import NamedTuple
 
-from .exact import ZERO, Vec, _read_text, parse_scalar, quoted
+from .exact import MAX_EXPONENT, ZERO, Vec, _read_text, parse_scalar, quoted
+
+SCALAR_TABLE_SIZE = 4096  # distinct (string, unit) pairs kept by _checked
+# The longest plain decimal the size rule accepts: a sign, MAX_EXPONENT + 1
+# integer digits, a point and MAX_EXPONENT places.  A longer spelling (padded
+# with whitespace or zeros) is parsed where it stands, so no entry of the
+# table outgrows this.
+_TABLE_TEXT_LIMIT = 2 * MAX_EXPONENT + 3
 
 
 class InstanceError(ValueError):
@@ -78,9 +92,21 @@ def _scalar(value, what: str, unit: bool = True) -> Fraction:
     return parsed
 
 
+@lru_cache(maxsize=SCALAR_TABLE_SIZE)
+def _checked(text: str, unit: bool) -> Fraction:
+    """``_scalar(text, "", unit)`` for a str, kept for the next document that
+    holds the same string; TypeError for any other value and for a str past
+    ``_TABLE_TEXT_LIMIT`` characters.  A rejected string raises each time,
+    since lru_cache keeps no exceptions."""
+    if type(text) is not str or len(text) > _TABLE_TEXT_LIMIT:
+        raise TypeError("only a str of bounded length is kept in the table")
+    return _scalar(text, "", unit)
+
+
 def _distinct_unit_values(A, b) -> dict[str, Fraction] | None:
-    """Each distinct string of A and b parsed and range-checked once, or None
-    when some value is not a str, cannot be hashed or is rejected.
+    """Each distinct string of A and b with its checked scalar from the
+    table, or None when some value is not a str, is too long for the table,
+    cannot be hashed or is rejected.
 
     The set holds every value up to equality, and only a str equals a str,
     so a value of any other type shows up in it.
@@ -88,17 +114,9 @@ def _distinct_unit_values(A, b) -> dict[str, Fraction] | None:
     try:
         distinct = set(chain.from_iterable(A))
         distinct.update(b)
-    except TypeError:  # an unhashable value, such as a nested list
+        return dict(zip(distinct, map(_checked, distinct, repeat(True))))
+    except (TypeError, InstanceError):  # unhashable, not kept, or rejected
         return None
-    memo = {}
-    for text in distinct:
-        if type(text) is not str:
-            return None
-        try:
-            memo[text] = _scalar(text, "")
-        except InstanceError:
-            return None
-    return memo
 
 
 def instance_from_doc(doc: dict) -> Instance:
@@ -131,7 +149,10 @@ def instance_from_doc(doc: dict) -> Instance:
             for i, row in enumerate(doc["A"], start=1)
         ]
         b = [_scalar(v, f"b[{i}]") for i, v in enumerate(doc["b"], start=1)]
-    c = [_scalar(v, f"c[{j}]", unit=False) for j, v in enumerate(doc["c"], start=1)]
+    try:
+        c = list(map(_checked, doc["c"], repeat(False)))
+    except (TypeError, InstanceError):
+        c = [_scalar(v, f"c[{j}]", unit=False) for j, v in enumerate(doc["c"], start=1)]
 
     m = len(A)
     if m == 0:

@@ -128,6 +128,15 @@ def test_quoted_cuts_any_long_repr():
     assert quoted(None) == "None"
 
 
+def test_quoted_names_the_type_of_a_value_too_deep_for_repr():
+    deep = []
+    for _ in range(5000):  # built in a loop: a literal this deep does not compile
+        deep = [deep]
+    assert quoted(deep) == "list"
+    with pytest.raises(ValueError, match="^not a numeric scalar: list$"):
+        parse_scalar(deep)
+
+
 def test_decimal_str_round_trips():
     for text in ("0.66", "-13.0727", "0", "1", "0.04", "-0.5"):
         assert decimal_str(Fraction(text)) == text

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from maxminfre import (
 )
 from maxminfre.exact import ZERO, decimal_str, parse_scalar
 from maxminfre.generate import random_fre_doc
-from maxminfre.model import instance_from_doc, parse_json
+from maxminfre.model import _checked, instance_from_doc, parse_json
 
 from .conftest import (
     DEMO_OPTIMUM,
@@ -180,12 +181,94 @@ def test_true_rejected_after_equal_values(earlier):
     text = '{"A": [[%s, "0"], [true, "0"]], "b": ["1", "0"], "c": ["1", "1"]}'
     with pytest.raises(InstanceError, match=re.escape("A[2][1]")):
         load_instance(text % json.dumps(earlier))
+    costs = {"A": [["0"]], "b": ["0"], "c": [earlier, True]}
+    with pytest.raises(InstanceError, match=re.escape("c[2]")):
+        instance_from_doc(costs)
 
 
 def test_cost_outside_unit_interval_is_not_reused_for_a():
     assert load_instance({"A": [["0.5"]], "b": ["0.5"], "c": ["1.5"]}).c == (frac("1.5"),)
     with pytest.raises(InstanceError, match=re.escape("A[1][1]")):
         load_instance({"A": [["1.5"]], "b": ["0.5"], "c": ["1.5"]})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"A": [["0.5", "1.5"]] * 2, "b": ["0.5"] * 2, "c": ["1"] * 2}, "A[1][2] = '1.5' outside"),
+        ({"A": [["0.5"] * 2] * 2, "b": ["0.5", "1/3"], "c": ["1"] * 2}, "b[2]: '1/3' has no finite"),
+        ({"A": [["0.5"] * 2] * 2, "b": ["0.5"] * 2, "c": ["1", "x"]}, "c[2]: not a decimal"),
+    ],
+    ids=["A", "b", "c"],
+)
+def test_rejected_string_is_named_on_every_load(doc, message):
+    """The scalar table keeps no errors: each load parses the bad string
+    again and names its field the same way."""
+    messages = []
+    for _ in range(3):
+        misses = _checked.cache_info().misses
+        with pytest.raises(InstanceError) as exc:
+            load_instance(doc)
+        messages.append(str(exc.value))
+        assert _checked.cache_info().misses > misses
+    assert messages[0].startswith(message) and messages == messages[:1] * 3
+
+
+def test_cost_held_in_the_table_is_still_range_checked_in_a():
+    assert load_instance({"A": [["0.5"]], "b": ["0.5"], "c": ["-3.5"]}).c == (frac("-3.5"),)
+    with pytest.raises(InstanceError, match=re.escape("A[1][2] = '-3.5' outside")):
+        load_instance({"A": [["0.5", "-3.5"]], "b": ["0.5"], "c": ["-3.5", "1"]})
+
+
+def _load_outcome(doc):
+    try:
+        return load_instance(doc)
+    except InstanceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(1, "1"), (0.5, "0.5"), (Fraction(1, 2), "0.5"), (True, "1")],
+    ids=["int", "float", "Fraction", "True"],
+)
+def test_number_entries_load_alike_before_and_after_their_strings(value, text):
+    """A number passed from Python is parsed where it stands, whether or not
+    the table already holds the string that equals it."""
+    docs = [
+        {"A": [[value, "0"], ["0", "0"]], "b": ["0", "0"], "c": ["1", "1"]},
+        {"A": [["0", "0"], ["0", "0"]], "b": ["0", value], "c": ["1", "1"]},
+        {"A": [["0", "0"], ["0", "0"]], "b": ["0", "0"], "c": ["1", value]},
+    ]
+    _checked.cache_clear()
+    before = [_load_outcome(doc) for doc in docs]
+    load_instance({"A": [[text]], "b": [text], "c": [text]})
+    assert [_load_outcome(doc) for doc in docs] == before
+    if value is True:
+        assert before == [
+            "A[1][1]: not a numeric scalar: True",
+            "b[2]: not a numeric scalar: True",
+            "c[2]: not a numeric scalar: True",
+        ]
+    else:
+        assert before[0].A[0][0] == before[1].b[1] == before[2].c[1] == Fraction(text)
+
+
+def test_string_longer_than_any_plain_decimal_is_parsed_but_not_kept():
+    padded = " " * 3000 + "0.5"
+    _checked.cache_clear()
+    inst = load_instance({"A": [[padded]], "b": ["0.5"], "c": [padded]})
+    assert inst.A == ((Fraction(1, 2),),) and inst.c == (Fraction(1, 2),)
+    assert _checked.cache_info().currsize <= 1  # ("0.5", True) at most
+
+
+def test_loads_of_one_text_share_their_scalars():
+    text = json.dumps(random_fre_doc(6, 0.5, 3, b_cap=0.5))
+    first, second = load_instance(text), load_instance(text)
+    assert first == second
+    pairs = zip(chain(*first.A, first.b, first.c), chain(*second.A, second.b, second.c))
+    assert all(u is v for u, v in pairs)
+    assert _checked.cache_info().maxsize == 4096
 
 
 @pytest.mark.parametrize("seed", [0, 1])
