@@ -33,8 +33,6 @@ MAX_EXPONENT = 1000
 _PLACES = 10**MAX_EXPONENT  # d | _PLACES iff p/d has at most MAX_EXPONENT places
 _MAGNITUDE = 10 * _PLACES
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-# "0.66", "-13", "007.50": ASCII digits, an optional minus and point, nothing else
-_PLAIN_DECIMAL = re.compile(r"-?([0-9]+)(?:\.([0-9]+))?")
 
 
 def parse_scalar(value) -> Fraction:
@@ -43,19 +41,10 @@ def parse_scalar(value) -> Fraction:
     Strings and ints are exact.  Floats are read through their shortest
     decimal repr, which recovers the decimal literal they were written as.
     Values without a finite decimal form, such as "1/3", are rejected, and so
-    is a value of any kind beyond the size rule above.
-
-    A plain decimal string whose digit groups are within the size rule is
-    read as its digits over a power of ten, which is what ``Fraction(text)``
-    computes, without its general pattern.  Any other string takes the
-    general path, which words the rejection.
+    is a value of any kind beyond the size rule above.  The loader parses
+    each distinct string once per process (see ``model``), so this is not on
+    the path of a repeated string.
     """
-    if type(value) is str:
-        match = _PLAIN_DECIMAL.fullmatch(value)
-        if match is not None:
-            whole, places = match.groups("")
-            if len(whole) <= MAX_EXPONENT + 1 and len(places) <= MAX_EXPONENT:
-                return Fraction(int(value.replace(".", "")), 10 ** len(places))
     if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
         raise ValueError(f"not a numeric scalar: {quoted(value)}")
     text = repr(value) if isinstance(value, float) else value

@@ -8,11 +8,13 @@ together with a linear objective c'x to minimize or maximize.  Row i is
 satisfied exactly when (I) min{a_ij, x_i, x_j} <= b_i for every column j and
 (II) equality holds for at least one column.
 
-Loading parses each distinct decimal string once per process: ``_checked``
-is a table of at most ``SCALAR_TABLE_SIZE`` checked scalars, keyed on the
-string and on whether it must lie in [0, 1].  Full of short decimals it holds
-about 1 MB; full of 1000-place decimals, about 9 MB; at its worst, every entry
-a cost of the longest length it keeps (``_TABLE_TEXT_LIMIT``), about 15 MB.
+Loading parses each distinct decimal string once per process: ``_unit_table``
+(A and b, which must lie in [0, 1]) and ``_cost_table`` (c) map a string to
+its checked scalar, parse it on its first lookup, and are emptied when full.
+Together they keep at most ``SCALAR_TABLE_SIZE`` strings.  Full of short
+decimals they hold about 1 MB; full of 1000-place decimals, about 8 MB; at
+their worst, every entry of the longest length they keep
+(``_TABLE_TEXT_LIMIT``), about 13 MB.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, repeat
 from typing import NamedTuple
 
 from .exact import MAX_EXPONENT, ZERO, Vec, _read_text, parse_scalar, quoted
 
-SCALAR_TABLE_SIZE = 4096  # distinct (string, unit) pairs kept by _checked
+SCALAR_TABLE_SIZE = 4096  # strings kept by the two tables together, half each
 # The longest plain decimal the size rule accepts: a sign, MAX_EXPONENT + 1
 # integer digits, a point and MAX_EXPONENT places.  A longer spelling (padded
 # with whitespace or zeros) is parsed where it stands, so no entry of the
@@ -92,31 +92,28 @@ def _scalar(value, what: str, unit: bool = True) -> Fraction:
     return parsed
 
 
-@lru_cache(maxsize=SCALAR_TABLE_SIZE)
-def _checked(text: str, unit: bool) -> Fraction:
-    """``_scalar(text, "", unit)`` for a str, kept for the next document that
-    holds the same string; TypeError for any other value and for a str past
-    ``_TABLE_TEXT_LIMIT`` characters.  A rejected string raises each time,
-    since lru_cache keeps no exceptions."""
-    if type(text) is not str or len(text) > _TABLE_TEXT_LIMIT:
-        raise TypeError("only a str of bounded length is kept in the table")
-    return _scalar(text, "", unit)
+class _ScalarTable(dict):
+    """``table[text]`` is ``_scalar(text, "", unit)`` for a str of at most
+    ``_TABLE_TEXT_LIMIT`` characters, parsed on its first lookup and kept;
+    any other key raises TypeError.  A rejected string raises on every
+    lookup, and a full table is emptied before the next string goes in."""
+
+    def __init__(self, unit: bool):
+        super().__init__()
+        self.unit = unit
+
+    def __missing__(self, text):
+        if type(text) is not str or len(text) > _TABLE_TEXT_LIMIT:
+            raise TypeError("only a str of bounded length is kept in the table")
+        parsed = _scalar(text, "", self.unit)
+        if len(self) >= SCALAR_TABLE_SIZE // 2:
+            self.clear()
+        self[text] = parsed
+        return parsed
 
 
-def _distinct_unit_values(A, b) -> dict[str, Fraction] | None:
-    """Each distinct string of A and b with its checked scalar from the
-    table, or None when some value is not a str, is too long for the table,
-    cannot be hashed or is rejected.
-
-    The set holds every value up to equality, and only a str equals a str,
-    so a value of any other type shows up in it.
-    """
-    try:
-        distinct = set(chain.from_iterable(A))
-        distinct.update(b)
-        return dict(zip(distinct, map(_checked, distinct, repeat(True))))
-    except (TypeError, InstanceError):  # unhashable, not kept, or rejected
-        return None
+_unit_table = _ScalarTable(unit=True)
+_cost_table = _ScalarTable(unit=False)
 
 
 def instance_from_doc(doc: dict) -> Instance:
@@ -139,18 +136,18 @@ def instance_from_doc(doc: dict) -> Instance:
     if sense is None:
         raise InstanceError(f"sense must be min or max, got {quoted(doc.get('sense'))}")
 
-    memo = _distinct_unit_values(doc["A"], doc["b"])
-    if memo is not None:
-        A = [list(map(memo.__getitem__, row)) for row in doc["A"]]
-        b = list(map(memo.__getitem__, doc["b"]))
-    else:  # entry by entry, so the first bad field in row-major order is named
+    unit = _unit_table.__getitem__
+    try:
+        A = [list(map(unit, row)) for row in doc["A"]]
+        b = list(map(unit, doc["b"]))
+    except (TypeError, InstanceError):  # entry by entry, naming the first bad field
         A = [
             [_scalar(v, f"A[{i}][{j}]") for j, v in enumerate(row, start=1)]
             for i, row in enumerate(doc["A"], start=1)
         ]
         b = [_scalar(v, f"b[{i}]") for i, v in enumerate(doc["b"], start=1)]
     try:
-        c = list(map(_checked, doc["c"], repeat(False)))
+        c = list(map(_cost_table.__getitem__, doc["c"]))
     except (TypeError, InstanceError):
         c = [_scalar(v, f"c[{j}]", unit=False) for j, v in enumerate(doc["c"], start=1)]
 

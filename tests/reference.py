@@ -10,11 +10,10 @@ is built coordinate by coordinate and scanned in full, and every removal
 rebuilds its domain.  The differential
 tests compare the library against them.
 
-``parse_scalar`` reads every string through ``Fraction(text)``, which the
-library skips for plain decimals, and checks the size rule on the value's
-decimal places and magnitude, which the library reads off the digit groups
-or the denominator; ``unit_scalar`` checks one A or b entry and words its
-errors as the loader's entry-by-entry path does.
+``parse_scalar`` checks the size rule on the value's decimal places and
+its magnitude as a ``Fraction``, which the library reads off the denominator
+and compares on integers; ``unit_scalar`` checks one A or b entry and words
+its errors as the loader's entry-by-entry path does.
 
 The rest are references that the library does not need:
 

@@ -171,8 +171,7 @@ def test_decimal_str_parse_round_trip(numerator, places):
     assert parse_scalar(decimal_str(value)) == value
 
 
-# Plain decimals take the fast path: signs, leading zeros, short and long
-# fractional parts.
+# Plain decimals: signs, leading zeros, short and long fractional parts.
 _plain_decimals = st.builds(
     lambda sign, zeros, whole, places: sign + "0" * zeros + str(whole) + places,
     st.sampled_from(["", "-"]),
@@ -180,8 +179,8 @@ _plain_decimals = st.builds(
     st.integers(0, 10**30),
     st.just("") | st.text("0123456789", min_size=1, max_size=40).map(lambda d: "." + d),
 )
-# Everything else takes the general path, plain decimals with more than 1001
-# integer digits or 1000 decimal places included.
+# Every other spelling, and plain decimals with more than 1001 integer digits
+# or 1000 decimal places.
 _general_forms = st.one_of(
     st.sampled_from(
         [
@@ -204,8 +203,8 @@ _general_forms = st.one_of(
 
 @given(st.one_of(_plain_decimals, _general_forms))
 def test_parse_scalar_matches_reference(value):
-    """The same Fraction, or the same ValueError message, as reading every
-    string through Fraction(text)."""
+    """The same Fraction, or the same ValueError message, as the reference,
+    which checks the size rule on Fractions."""
     try:
         expected = reference.parse_scalar(value)
     except ValueError as exc:

@@ -18,7 +18,8 @@ from maxminfre import (
 )
 from maxminfre.exact import ZERO, decimal_str, parse_scalar
 from maxminfre.generate import random_fre_doc
-from maxminfre.model import _checked, instance_from_doc, parse_json
+from maxminfre import model
+from maxminfre.model import _cost_table, _unit_table, instance_from_doc, parse_json
 
 from .conftest import (
     DEMO_OPTIMUM,
@@ -193,24 +194,32 @@ def test_cost_outside_unit_interval_is_not_reused_for_a():
 
 
 @pytest.mark.parametrize(
-    "doc, message",
+    "doc, table, bad, message",
     [
-        ({"A": [["0.5", "1.5"]] * 2, "b": ["0.5"] * 2, "c": ["1"] * 2}, "A[1][2] = '1.5' outside"),
-        ({"A": [["0.5"] * 2] * 2, "b": ["0.5", "1/3"], "c": ["1"] * 2}, "b[2]: '1/3' has no finite"),
-        ({"A": [["0.5"] * 2] * 2, "b": ["0.5"] * 2, "c": ["1", "x"]}, "c[2]: not a decimal"),
+        (
+            {"A": [["0.5", "1.5"]] * 2, "b": ["0.5"] * 2, "c": ["1"] * 2},
+            _unit_table, "1.5", "A[1][2] = '1.5' outside",
+        ),
+        (
+            {"A": [["0.5"] * 2] * 2, "b": ["0.5", "1/3"], "c": ["1"] * 2},
+            _unit_table, "1/3", "b[2]: '1/3' has no finite",
+        ),
+        (
+            {"A": [["0.5"] * 2] * 2, "b": ["0.5"] * 2, "c": ["1", "x"]},
+            _cost_table, "x", "c[2]: not a decimal",
+        ),
     ],
     ids=["A", "b", "c"],
 )
-def test_rejected_string_is_named_on_every_load(doc, message):
-    """The scalar table keeps no errors: each load parses the bad string
+def test_rejected_string_is_named_on_every_load(doc, table, bad, message):
+    """The scalar tables keep no errors: each load parses the bad string
     again and names its field the same way."""
     messages = []
     for _ in range(3):
-        misses = _checked.cache_info().misses
         with pytest.raises(InstanceError) as exc:
             load_instance(doc)
         messages.append(str(exc.value))
-        assert _checked.cache_info().misses > misses
+        assert bad not in table and "0.5" in _unit_table
     assert messages[0].startswith(message) and messages == messages[:1] * 3
 
 
@@ -240,9 +249,12 @@ def test_number_entries_load_alike_before_and_after_their_strings(value, text):
         {"A": [["0", "0"], ["0", "0"]], "b": ["0", value], "c": ["1", "1"]},
         {"A": [["0", "0"], ["0", "0"]], "b": ["0", "0"], "c": ["1", value]},
     ]
-    _checked.cache_clear()
+    _unit_table.clear()
+    _cost_table.clear()
     before = [_load_outcome(doc) for doc in docs]
+    assert text not in _unit_table
     load_instance({"A": [[text]], "b": [text], "c": [text]})
+    assert text in _unit_table and text in _cost_table
     assert [_load_outcome(doc) for doc in docs] == before
     if value is True:
         assert before == [
@@ -256,10 +268,11 @@ def test_number_entries_load_alike_before_and_after_their_strings(value, text):
 
 def test_string_longer_than_any_plain_decimal_is_parsed_but_not_kept():
     padded = " " * 3000 + "0.5"
-    _checked.cache_clear()
+    _unit_table.clear()
+    _cost_table.clear()
     inst = load_instance({"A": [[padded]], "b": ["0.5"], "c": [padded]})
     assert inst.A == ((Fraction(1, 2),),) and inst.c == (Fraction(1, 2),)
-    assert _checked.cache_info().currsize <= 1  # ("0.5", True) at most
+    assert set(_unit_table) <= {"0.5"} and not _cost_table
 
 
 def test_loads_of_one_text_share_their_scalars():
@@ -268,20 +281,42 @@ def test_loads_of_one_text_share_their_scalars():
     assert first == second
     pairs = zip(chain(*first.A, first.b, first.c), chain(*second.A, second.b, second.c))
     assert all(u is v for u, v in pairs)
-    assert _checked.cache_info().maxsize == 4096
+    assert model.SCALAR_TABLE_SIZE == 4096
+
+
+def _entrywise_instance(doc) -> Instance:
+    return Instance(
+        n=len(doc["A"]),
+        A=tuple(tuple(parse_scalar(v) for v in row) for row in doc["A"]),
+        b=tuple(parse_scalar(v) for v in doc["b"]),
+        c=tuple(parse_scalar(v) for v in doc["c"]),
+        sense="min",
+    )
+
+
+def test_full_tables_are_emptied_and_stay_within_their_bound(monkeypatch):
+    """Documents with many more distinct strings than a table holds: each
+    table is emptied when full, never holds more than its half of the bound,
+    and every load equals the entry-by-entry parse, reloads included."""
+    monkeypatch.setattr(model, "SCALAR_TABLE_SIZE", 16)
+    monkeypatch.setattr(model, "_unit_table", model._ScalarTable(unit=True))
+    monkeypatch.setattr(model, "_cost_table", model._ScalarTable(unit=False))
+    docs = [random_fre_doc(6, 0.5, seed, b_cap=0.5) for seed in range(4)]
+    distinct_costs = {v for doc in docs for v in doc["c"]}
+    distinct_units = {v for doc in docs for v in chain(*doc["A"], doc["b"])}
+    assert len(distinct_costs) > 8 and len(distinct_units) > 8
+    sizes = []
+    for doc in docs + docs:
+        assert load_instance(json.dumps(doc)) == _entrywise_instance(doc)
+        sizes.append((len(model._unit_table), len(model._cost_table)))
+    assert all(0 < units <= 8 and 0 < costs <= 8 for units, costs in sizes)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_loaded_instance_equals_entrywise_parse(seed):
     doc = random_fre_doc(16, 0.3, seed, b_cap=0.5)
     doc["A"][0][:3] = [0.25, 1, Fraction(1, 2)]  # numbers next to their strings
-    expected = Instance(
-        n=16,
-        A=tuple(tuple(parse_scalar(v) for v in row) for row in doc["A"]),
-        b=tuple(parse_scalar(v) for v in doc["b"]),
-        c=tuple(parse_scalar(v) for v in doc["c"]),
-        sense="min",
-    )
+    expected = _entrywise_instance(doc)
     for inst in (load_instance(doc), load_instance(json.dumps(doc, default=str))):
         assert inst == expected
         assert all(type(v) is Fraction for row in inst.A for v in row)
