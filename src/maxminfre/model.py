@@ -131,10 +131,11 @@ def instance_from_doc(doc: dict) -> Instance:
             raise InstanceError(f"{key} must be an array")
     if not all(isinstance(row, (list, tuple)) for row in doc["A"]):
         raise InstanceError("A must be an array of rows")
-    sense = str(doc.get("sense", "min")).lower()
-    sense = {"min": "min", "minimize": "min", "max": "max", "maximize": "max"}.get(sense)
+    given = doc.get("sense", "min")  # only a string is lowered: str() of any value may recurse
+    lowered = given.lower() if isinstance(given, str) else None
+    sense = {"min": "min", "minimize": "min", "max": "max", "maximize": "max"}.get(lowered)
     if sense is None:
-        raise InstanceError(f"sense must be min or max, got {quoted(doc.get('sense'))}")
+        raise InstanceError(f"sense must be min or max, got {quoted(given)}")
 
     unit = _unit_table.__getitem__
     try:

@@ -22,14 +22,11 @@ Rule summary (targets in parentheses):
 7. same with a variant-pinned diag_lt row as the anchor (anchor).
 
 Rules fire in a single pass each, in ascending index order, following the
-solve pipeline: 1, 2, 3, then 4+5, then 6+7.  Emptied domains are recorded
-as infeasibility verdicts, never raised.  Every rule compares integer ranks
-on the solve's one grid (``initial_state``), never ``Fraction``s.
-
-Rules 6 and 7 ask, for each pinned row r, which diag_lt rows s hold r in
-their anchor domain.  Rather than test r against every anchor domain, they
-read an index built once: per column, a bitmask of the diag_lt rows whose
-anchor domain holds it, walked from the lowest bit up.
+solve pipeline: 1, 2, 3, then 4+5, then 6+7.  Each rule collects its hits
+in one scan of the domains and removes them together
+(``ReductionState._prune``).  Emptied domains are recorded as infeasibility
+verdicts, never raised.  Every rule compares integer ranks on the solve's
+one grid (``initial_state``), never ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -223,33 +220,22 @@ def apply_pinned_rules(state: ReductionState) -> ReductionState:
     """Rules 6 and 7: a row pinned to variant 1 keeps its own coordinate at
     its target, so it cannot anchor a row with a strictly larger target.
 
-    ``holders[r]`` has bit k set when column r is in the anchor domain of
-    the k-th diag_lt row, so the rows that r could anchor are read off its
-    set bits, lowest first, which keeps the hits in (r, s) order.  One index
-    serves both rules: rule 6 removes only diag_eq columns, and rule 7 asks
-    only about diag_lt columns.  A row s = r never hits, since its target is
-    not larger than its own.
+    Each rule scans every diag_lt row's anchor domain once for the pinned
+    rows of its class and sorts the hits into (r, s) order.  Rule 6 removes
+    only diag_eq columns, so rule 7 finds the same hits after it as before.
+    A row s = r never hits, since its target is not larger than its own.
     """
-    target, lt_rows = state.target, state.cls.diag_lt
-    holders: dict[int, int] = {}
-    for k, s in enumerate(lt_rows):
-        bit = 1 << k
-        for r in state.anchor_dom[s]:
-            holders[r] = holders.get(r, 0) | bit
-    for rule, dom, rows in ((6, state.eq_dom, state.cls.diag_eq), (7, state.lt_dom, lt_rows)):
-        hits = []
-        for r in rows:
-            if dom[r] != (1,):
-                continue
-            t, mask = target[r], holders.get(r, 0)
-            while mask:
-                low = mask & -mask
-                s = lt_rows[low.bit_length() - 1]
-                if t < target[s]:
-                    hits.append((s, r, (r, s)))
-                mask ^= low
-        state._prune(rule, state.anchor_dom, hits)
-    _exhaustion(state, (CAUSE_ANCHORS, state.anchor_dom))
+    cls, target, anchor_dom = state.cls, state.target, state.anchor_dom
+    for rule, dom, rows in ((6, state.eq_dom, cls.diag_eq), (7, state.lt_dom, cls.diag_lt)):
+        pinned = {r: target[r] for r in rows if dom[r] == (1,)}
+        hits = sorted(
+            (r, s)
+            for s, anchors in anchor_dom.items()
+            for r in anchors
+            if r in pinned and pinned[r] < target[s]
+        )
+        state._prune(rule, anchor_dom, [(s, r, (r, s)) for r, s in hits])
+    _exhaustion(state, (CAUSE_ANCHORS, anchor_dom))
     return state
 
 

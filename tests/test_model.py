@@ -140,6 +140,26 @@ def test_load_rejects_bad_sense():
         load_instance({"A": [["0.5"]], "b": ["0.5"], "c": ["1"], "sense": "best"})
 
 
+def _nested_list(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# str() of a list 5000 deep raised RecursionError before the message was built
+@pytest.mark.parametrize(
+    "sense, shown",
+    [(_nested_list(5000), "list"), (None, "None"), (1, "1"), (["min"], "['min']")],
+    ids=["deep-list", "none", "int", "list"],
+)
+def test_load_rejects_non_string_sense(sense, shown):
+    doc = {"A": [["1"]], "b": ["1"], "c": ["1"], "sense": sense}
+    with pytest.raises(InstanceError) as exc:
+        load_instance(doc)
+    assert str(exc.value) == f"sense must be min or max, got {shown}"
+
+
 # Each value was once echoed in full: 1004, 977, 100,032 and up to 250,031
 # characters.  The message now cuts it and still names the field.
 @pytest.mark.parametrize(
