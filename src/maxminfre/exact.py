@@ -114,10 +114,10 @@ def _read_text(path: str, error: type[ValueError], what: str) -> str:
         raise error(_file_message(f"read {what} file", path, exc)) from exc
 
 
-def _pow10_exponent(denominator: int) -> int:
-    """Smallest k with denominator | 10^k; ValueError if none exists."""
+def decimal_places(value: Fraction) -> int:
+    """Digits to write the value exactly: the least k with denominator | 10^k."""
     twos = fives = 0
-    d = denominator
+    d = value.denominator
     while d % 2 == 0:
         d //= 2
         twos += 1
@@ -125,18 +125,13 @@ def _pow10_exponent(denominator: int) -> int:
         d //= 5
         fives += 1
     if d != 1:
-        raise ValueError(f"denominator {denominator} has no finite decimal form")
+        raise ValueError(f"denominator {value.denominator} has no finite decimal form")
     return max(twos, fives)
-
-
-def decimal_places(value: Fraction) -> int:
-    """Number of decimal digits needed to write the value exactly."""
-    return _pow10_exponent(value.denominator)
 
 
 def decimal_str(value: Fraction) -> str:
     """Exact decimal string, no trailing zeros ('0.66', '-13.0727', '1')."""
-    k = _pow10_exponent(value.denominator)
+    k = decimal_places(value)
     scaled = value.numerator * 10**k // value.denominator
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(k + 1, "0")

@@ -181,15 +181,17 @@ class Lanes:
     compare.  Comparing ranks is therefore comparing the values exactly.
     Both are kept: ``scale`` is L and ``ints[r]`` is grid[r] * L, the
     integer grid in rank order that the objective tables are read from.
+    ``grid[r]`` is a given value of rank r, not rebuilt, so ``cell`` returns
+    the caller's objects: ints for an unvalidated ``Instance`` of ints.
     """
 
     def __init__(self, values: Iterable[Fraction], n: int):
-        ratios = set([value.as_integer_ratio() for value in values])
-        self.scale = scale = math.lcm(*(q for _, q in ratios))
-        ordered = sorted(ratios, key=lambda pq: pq[0] * (scale // pq[1]))
+        given = {value.as_integer_ratio(): value for value in values}
+        self.scale = scale = math.lcm(*(q for _, q in given))
+        ordered = sorted(given, key=lambda pq: pq[0] * (scale // pq[1]))
         self.ints = tuple([p * (scale // q) for p, q in ordered])  # grid[r] * scale
         self._ranks = {pq: r for r, pq in enumerate(ordered)}
-        self.grid = tuple([Fraction(p, q) for p, q in ordered])  # grid[r] has rank r
+        self.grid = tuple([given[pq] for pq in ordered])  # grid[r] has rank r
         self.top = len(ordered) - 1  # the rank of the largest value, 1 on a solve's grid
         self.w = w = self.top.bit_length()
         self.lane = (1 << w) - 1

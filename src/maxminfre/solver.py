@@ -104,7 +104,7 @@ tuples merge.  Each term is read from a table of c_j * grid[r] multiplied by
 one positive common multiple of the denominators, looked up by the lane's
 value, which makes every entry an integer and keeps the order of objectives
 exact; only the winning box and the returned region boxes are read back as
-values (``Lanes.cell``).
+values, off the grid of the loaded values themselves (``Lanes.cell``).
 """
 
 from __future__ import annotations

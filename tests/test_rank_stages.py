@@ -1,9 +1,12 @@
 """Differential tests: the cross-product classification, the extremal
 families built on first read, the bounds read from the targets, and the
 rank-based gate and rules against the Fraction-compare reference in
-``reference``, and the solve's rank table against the oracle's value grid."""
+``reference``, and the solve's rank table against the oracle's value grid.
+The grid holds the loaded values themselves, so past loading a solve builds
+no ``Fraction`` but its objective."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -12,15 +15,26 @@ from maxminfre import (
     aggregate_bounds,
     classify_rows,
     extremal_solutions,
+    feasible_region,
     gate_feasibility,
     load_instance,
+    make_graph,
     reduce_domains,
+    solve,
+    solve_cover,
 )
+from maxminfre.exact import ONE, ZERO
+from maxminfre.extremals import Lanes
 from maxminfre.generate import random_fre_doc
 from maxminfre.oracle import value_grid
 
 from . import reference
-from .conftest import fine_instances, instances
+from .conftest import fine_instances, frac, fracs, instances
+
+
+def _loaded(inst) -> set[int]:
+    """The ids of the value objects a solve of ``inst`` may return."""
+    return {id(v) for v in (ZERO, ONE, *inst.b)}
 
 
 def _assert_same_stages(inst):
@@ -42,6 +56,7 @@ def _assert_same_stages(inst):
     state = reduce_domains(inst, cls, ext, bounds)
     # the frontier's order isomorphism: the one table holds exactly the grid
     assert state.lanes.grid == value_grid(inst)
+    assert all(id(v) in _loaded(inst) for v in state.lanes.grid)  # nothing is rebuilt
     expected = reference.reduce_domains(inst, cls, full, bounds)
     assert [(e.rule, e.target, e.removed, e.witness) for e in state.trace] == [
         (e.rule, e.target, e.removed, e.witness) for e in expected.trace
@@ -105,3 +120,42 @@ TINY = ("1e-1000", "2e-1000", "1e-999", "0", "1")  # cross products of ~3,300-bi
 )
 def test_rank_stages_match_reference_on_extreme_spellings(A, b):
     _assert_same_stages(load_instance({"A": A, "b": b, "c": ["1"] * len(b)}))
+
+
+def test_lanes_grid_holds_the_given_values():
+    values = [frac("0.5"), frac("0.50"), ONE, frac("0.3"), ZERO]
+    lanes = Lanes(values, 2)
+    assert lanes.grid == fracs(0, "0.3", "0.5", 1)
+    assert all(any(r is v for v in values) for r in lanes.grid)
+    # an unvalidated caller's ints come back as ints
+    assert [type(r) for r in Lanes([1, 0], 1).grid] == [int, int]
+
+
+def test_solve_and_region_return_the_loaded_values(demo10):
+    best = solve(demo10).candidate
+    assert all(id(v) in _loaded(demo10) for v in (*best.cell.lower, *best.cell.upper, *best.x))
+    cells = feasible_region(demo10)
+    assert all(id(v) in _loaded(demo10) for cell in cells for vec in cell for v in vec)
+
+
+def _fractions_built(call, *args) -> int:
+    """How many times ``call(*args)`` calls ``Fraction.__new__``: every
+    Fraction it builds but those that Python 3.12+ builds for arithmetic
+    results without it."""
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *a, **kw):
+        nonlocal built
+        built += 1
+        return new(cls, *a, **kw)
+
+    with mock.patch.object(Fraction, "__new__", counting):
+        call(*args)
+    return built
+
+
+def test_solve_builds_no_fraction_but_its_objective(demo10):
+    assert _fractions_built(solve, demo10) <= 2  # the objective's unit and the objective
+    assert _fractions_built(feasible_region, demo10) == 0
+    assert _fractions_built(solve_cover, make_graph(4, [(1, 2), (2, 3), (3, 4)])) <= 2
